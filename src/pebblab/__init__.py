@@ -55,6 +55,7 @@ from .iso import (
     canonical_labeling,
     digraph_isomorphic,
     find_induced_undirected_embedding,
+    find_oriented_subgraph,
     undirected_isomorphic,
     verify_mapping,
 )

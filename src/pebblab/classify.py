@@ -120,9 +120,9 @@ def reduce_modulo_automorphisms(
 ) -> list[tuple[int, ...]]:
     """Keep one lexicographically-least representative per automorphism
     orbit, in first-seen order."""
-    perms = [
-        tuple(g.index(m.apply(v)) for v in g.vertices) for m in automorphisms(g)
-    ]
+    if not vectors:
+        return []
+    perms = [tuple(g.index(w) for _, w in m.pairs) for m in automorphisms(g)]
     seen: set[tuple[int, ...]] = set()
     kept: list[tuple[int, ...]] = []
     for vec in vectors:
@@ -142,7 +142,8 @@ def canonical_pair_key(
     by_name = dict(zip(g.vertices, counts))
     best = None
     for m in automorphisms(g):
-        vec = tuple(by_name[m.apply(name)] for name in order_names)
+        mapping = m.mapping
+        vec = tuple(by_name[mapping[name]] for name in order_names)
         if best is None or vec < best:
             best = vec
     return form, best if best is not None else ()

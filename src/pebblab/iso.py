@@ -1,11 +1,25 @@
-"""Directed and undirected graph isomorphism, canonical forms, automorphism
-enumeration, and induced undirected embeddings.
+"""Directed and undirected graph isomorphism, automorphism enumeration,
+induced undirected embeddings, oriented subgraphs and canonical forms.
 
-Everything here is exact backtracking over color-refined candidate classes.
-Instances in this project stay small (a few dozen vertices), so a
-self-contained search beats delegating to an external solver and keeps every
-witness auditable: a mapping is re-verified edge by edge before it is
-returned.
+Every vertex-mapping search runs through one backtracking core,
+``_backtrack``.  Its caller fixes the order in which g's vertices are placed
+and the candidate targets of each; the core then extends a partial injective
+map one vertex at a time.  An induced search needs g and h to agree on
+adjacency among placed vertices, a subgraph search only needs each g edge to
+land on an h edge.  Isomorphism searches confine candidates to color-refined
+classes; embedding searches bound them by degree and count every candidate
+tried against an expansion budget, raising SearchBudgetExceededError when it
+runs out, so a missing result is never mistaken for a proved absence.
+
+Witnesses come in four modes: ``"directed"`` and ``"undirected"``
+isomorphisms, ``"induced-embedding"`` (g's shadow onto an induced subgraph of
+h's shadow) and ``"subgraph"`` (every oriented edge of g onto an oriented edge
+of h).  Each is re-verified by ``verify_mapping`` before it is returned.
+
+``canonical_labeling`` keeps its own recursion: it minimizes an encoding over
+vertex orderings rather than mapping into a target graph.  Instances in this
+project stay small (a few dozen vertices), so a self-contained search beats
+delegating to an external solver and keeps every witness auditable.
 """
 
 from __future__ import annotations
@@ -23,9 +37,9 @@ DEFAULT_EXPANSION_BUDGET = 10**6
 class IsoMapping:
     """A vertex mapping witnessing an isomorphism or embedding.
 
-    ``mode`` is one of ``"directed"``, ``"undirected"`` or
-    ``"induced-embedding"``; ``pairs`` lists (source, target) names in
-    source-graph vertex order.
+    ``mode`` is one of ``"directed"``, ``"undirected"``,
+    ``"induced-embedding"`` or ``"subgraph"``; ``pairs`` lists (source,
+    target) names in source-graph vertex order.
     """
 
     mode: str
@@ -34,9 +48,6 @@ class IsoMapping:
     @property
     def mapping(self) -> dict[str, str]:
         return dict(self.pairs)
-
-    def apply(self, v: str) -> str:
-        return self.mapping[v]
 
     def to_json_obj(self) -> dict:
         return {"mode": self.mode, "map": {u: w for u, w in self.pairs}}
@@ -103,7 +114,7 @@ def _joint_colors(
     return colors[:n], colors[n:]
 
 
-# -- isomorphism search ------------------------------------------------------
+# -- the backtracking core ----------------------------------------------------
 
 
 def _variable_order(n: int, g_out, g_in, colors: list[int]) -> list[int]:
@@ -123,44 +134,70 @@ def _variable_order(n: int, g_out, g_in, colors: list[int]) -> list[int]:
     return order
 
 
-def _search_mappings(g_out, g_in, h_out, h_in, gcols, hcols, want_all: bool) -> list[list[int]]:
-    n = len(gcols)
+def _backtrack(
+    order, candidates, g_out, g_in, h_out, h_in, induced: bool, want_all: bool, budget: int | None = None
+) -> list[list[int]]:
+    """Injective maps of g's vertices into h's, as image lists indexed by g
+    vertex: the first one found, or all of them with ``want_all``.
+
+    g's vertices are placed in ``order``, each trying ``candidates[v]`` in
+    list order.  A candidate fits when every placed out- and in-neighbor of
+    ``v`` lands on an out- and in-neighbor of it; with ``induced`` the placed
+    neighbors of the candidate must be exactly those images.  Every candidate
+    tried counts as one expansion against ``budget``.
+    """
+    if len(order) > len(h_out):
+        return []
+    depth = {v: d for d, v in enumerate(order)}
+    placed_out = [[u for u in g_out[v] if depth[u] < depth[v]] for v in range(len(order))]
+    placed_in = [[u for u in g_in[v] if depth[u] < depth[v]] for v in range(len(order))]
+    image = [-1] * len(order)
+    used: set[int] = set()
+    results: list[list[int]] = []
+    expansions = 0
+
+    def rec(d: int) -> bool:
+        nonlocal expansions
+        if d == len(order):
+            results.append(list(image))
+            return not want_all
+        v = order[d]
+        need_out = {image[u] for u in placed_out[v]}
+        need_in = {image[u] for u in placed_in[v]}
+        for x in candidates[v]:
+            if x in used:
+                continue
+            if budget is not None:
+                expansions += 1
+                if expansions > budget:
+                    raise SearchBudgetExceededError(budget)
+            if induced:
+                fits = h_out[x] & used == need_out and h_in[x] & used == need_in
+            else:
+                fits = need_out <= h_out[x] and need_in <= h_in[x]
+            if fits:
+                image[v] = x
+                used.add(x)
+                if rec(d + 1):
+                    return True
+                used.discard(x)
+        return False
+
+    rec(0)
+    return results
+
+
+def _isomorphisms(g_out, g_in, h_out, h_in, want_all: bool) -> list[list[int]]:
+    """Isomorphisms with every vertex confined to its jointly refined color."""
+    gcols, hcols = _joint_colors(g_out, g_in, h_out, h_in)
     if Counter(gcols) != Counter(hcols):
         return []
     by_color: dict[int, list[int]] = {}
     for x, c in enumerate(hcols):
         by_color.setdefault(c, []).append(x)
-    order = _variable_order(n, g_out, g_in, gcols)
-
-    image = [-1] * n
-    used = [False] * n
-    results: list[list[int]] = []
-
-    def rec(d: int) -> bool:
-        if d == n:
-            results.append(list(image))
-            return not want_all
-        v = order[d]
-        for x in by_color.get(gcols[v], ()):
-            if used[x]:
-                continue
-            ok = True
-            for u in order[:d]:
-                y = image[u]
-                if (v in g_out[u]) != (x in h_out[y]) or (u in g_out[v]) != (y in h_out[x]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = x
-                used[x] = True
-                if rec(d + 1):
-                    return True
-                used[x] = False
-                image[v] = -1
-        return False
-
-    rec(0)
-    return results
+    order = _variable_order(len(gcols), g_out, g_in, gcols)
+    candidates = [by_color[c] for c in gcols]
+    return _backtrack(order, candidates, g_out, g_in, h_out, h_in, True, want_all)
 
 
 def _as_iso(g: OrientedGraph, h: OrientedGraph, image: list[int], mode: str) -> IsoMapping:
@@ -172,62 +209,56 @@ def _as_iso(g: OrientedGraph, h: OrientedGraph, image: list[int], mode: str) -> 
 
 
 def verify_mapping(g: OrientedGraph, h: OrientedGraph, witness: IsoMapping) -> bool:
-    """Independent edge-by-edge recheck of a witness in its stated mode."""
+    """Independent edge-by-edge recheck of a witness in its stated mode.
+
+    The map must be injective, and a bijection for the two isomorphism
+    modes.  It must carry g's edges onto exactly the h edges among its
+    image, compared as undirected pairs for ``"undirected"`` and
+    ``"induced-embedding"``; a ``"subgraph"`` map need only carry them into
+    those h edges.
+    """
     mapping = witness.mapping
     if len(mapping) != len(g.vertices) or any(v not in mapping for v in g.vertices):
         return False
-    targets = list(mapping.values())
-    if len(set(targets)) != len(targets) or any(t not in h for t in targets):
+    image = set(mapping.values())
+    if len(image) != len(mapping) or any(t not in h for t in image):
         return False
+    if witness.mode in ("directed", "undirected") and len(image) != len(h.vertices):
+        return False
+    carried = {(mapping[u], mapping[w]) for u, w in g.edges}
+    among = {(x, y) for x, y in h.edges if x in image and y in image}
+    if witness.mode == "subgraph":
+        return carried <= among
     if witness.mode == "directed":
-        if len(g.vertices) != len(h.vertices):
-            return False
-        return all(
-            g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
-            for u in g.vertices
-            for v in g.vertices
-            if u != v
-        )
-    def shadow(graph, a, b):
-        return graph.has_edge(a, b) or graph.has_edge(b, a)
-    if witness.mode == "undirected" and len(g.vertices) != len(h.vertices):
-        return False
-    if witness.mode not in ("undirected", "induced-embedding"):
-        return False
-    vs = g.vertices
-    return all(
-        shadow(g, vs[i], vs[j]) == shadow(h, mapping[vs[i]], mapping[vs[j]])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-    )
+        return carried == among
+    if witness.mode in ("undirected", "induced-embedding"):
+        return {frozenset(e) for e in carried} == {frozenset(e) for e in among}
+    return False
+
+
+def _isomorphic(g: OrientedGraph, h: OrientedGraph, mode: str) -> IsoMapping | None:
+    # Oriented graphs have no opposite edge pairs, so the shadows of g and
+    # h have exactly len(g.edges) and len(h.edges) edges.
+    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
+        return None
+    if mode == "directed":
+        g_out, g_in = _directed_adj(g)
+        h_out, h_in = _directed_adj(h)
+    else:
+        g_out = g_in = _shadow_adj(g)
+        h_out = h_in = _shadow_adj(h)
+    found = _isomorphisms(g_out, g_in, h_out, h_in, want_all=False)
+    return _as_iso(g, h, found[0], mode) if found else None
 
 
 def digraph_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoMapping | None:
     """A directed-isomorphism witness, or ``None`` if none exists."""
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return None
-    g_out, g_in = _directed_adj(g)
-    h_out, h_in = _directed_adj(h)
-    gcols, hcols = _joint_colors(g_out, g_in, h_out, h_in)
-    found = _search_mappings(g_out, g_in, h_out, h_in, gcols, hcols, want_all=False)
-    if not found:
-        return None
-    return _as_iso(g, h, found[0], "directed")
+    return _isomorphic(g, h, "directed")
 
 
 def undirected_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoMapping | None:
     """A witness that the undirected shadows are isomorphic, or ``None``."""
-    if len(g.vertices) != len(h.vertices):
-        return None
-    g_adj = _shadow_adj(g)
-    h_adj = _shadow_adj(h)
-    if sum(map(len, g_adj)) != sum(map(len, h_adj)):
-        return None
-    gcols, hcols = _joint_colors(g_adj, g_adj, h_adj, h_adj)
-    found = _search_mappings(g_adj, g_adj, h_adj, h_adj, gcols, hcols, want_all=False)
-    if not found:
-        return None
-    return _as_iso(g, h, found[0], "undirected")
+    return _isomorphic(g, h, "undirected")
 
 
 def automorphisms(g: OrientedGraph) -> list[IsoMapping]:
@@ -235,8 +266,7 @@ def automorphisms(g: OrientedGraph) -> list[IsoMapping]:
     edges, in a deterministic order.  Contains the identity and, being all
     of them, is closed under composition and inverse."""
     g_out, g_in = _directed_adj(g)
-    gcols, hcols = _joint_colors(g_out, g_in, g_out, g_in)
-    found = _search_mappings(g_out, g_in, g_out, g_in, gcols, hcols, want_all=True)
+    found = _isomorphisms(g_out, g_in, g_out, g_in, want_all=True)
     found.sort(key=tuple)
     return [_as_iso(g, g, image, "directed") for image in found]
 
@@ -342,7 +372,7 @@ def canonical_form(g: OrientedGraph) -> bytes:
     return canonical_labeling(g)[0]
 
 
-# -- induced undirected embedding --------------------------------------------
+# -- embeddings ----------------------------------------------------------------
 
 
 def find_induced_undirected_embedding(
@@ -356,43 +386,37 @@ def find_induced_undirected_embedding(
     Raises SearchBudgetExceededError when the expansion cap is hit, so a
     missing result is never mistaken for a proved absence.
     """
-    ng, nh = len(g.vertices), len(h.vertices)
-    if ng > nh:
-        return None
     g_adj = _shadow_adj(g)
     h_adj = _shadow_adj(h)
-    order = _variable_order(ng, g_adj, g_adj, [0] * ng)
+    order = _variable_order(len(g_adj), g_adj, g_adj, [0] * len(g_adj))
+    candidates = [
+        [x for x in range(len(h_adj)) if len(h_adj[x]) >= len(g_adj[v])] for v in range(len(g_adj))
+    ]
+    found = _backtrack(order, candidates, g_adj, g_adj, h_adj, h_adj, True, False, expansion_budget)
+    return _as_iso(g, h, found[0], "induced-embedding") if found else None
 
-    image = [-1] * ng
-    used = [False] * nh
-    expansions = 0
 
-    def rec(d: int) -> bool:
-        nonlocal expansions
-        if d == ng:
-            return True
-        v = order[d]
-        deg_v = len(g_adj[v])
-        for x in range(nh):
-            if used[x] or len(h_adj[x]) < deg_v:
-                continue
-            expansions += 1
-            if expansions > expansion_budget:
-                raise SearchBudgetExceededError(expansion_budget)
-            ok = True
-            for u in order[:d]:
-                if (u in g_adj[v]) != (image[u] in h_adj[x]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = x
-                used[x] = True
-                if rec(d + 1):
-                    return True
-                used[x] = False
-                image[v] = -1
-        return False
+def find_oriented_subgraph(
+    g: OrientedGraph,
+    h: OrientedGraph,
+    expansion_budget: int = DEFAULT_EXPANSION_BUDGET,
+) -> IsoMapping | None:
+    """An injective map carrying every edge of g onto an edge of h (g's
+    non-edges may land anywhere), or ``None`` once the search space is
+    exhausted.
 
-    if not rec(0):
-        return None
-    return _as_iso(g, h, image, "induced-embedding")
+    Raises SearchBudgetExceededError when the expansion cap is hit.
+    """
+    g_out, g_in = _directed_adj(g)
+    h_out, h_in = _directed_adj(h)
+    order = sorted(range(len(g_out)), key=lambda v: -(len(g_out[v]) + len(g_in[v])))
+    candidates = [
+        [
+            x
+            for x in range(len(h_out))
+            if len(h_out[x]) >= len(g_out[v]) and len(h_in[x]) >= len(g_in[v])
+        ]
+        for v in range(len(g_out))
+    ]
+    found = _backtrack(order, candidates, g_out, g_in, h_out, h_in, False, False, expansion_budget)
+    return _as_iso(g, h, found[0], "subgraph") if found else None

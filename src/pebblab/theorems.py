@@ -28,6 +28,7 @@ from .classify import (
 from .errors import (
     EmbeddingNotFoundError,
     GraphError,
+    SearchBudgetExceededError,
     StateBudgetExceededError,
     UnknownClaimError,
 )
@@ -37,6 +38,7 @@ from .iso import (
     DEFAULT_EXPANSION_BUDGET,
     digraph_isomorphic,
     find_induced_undirected_embedding,
+    find_oriented_subgraph,
     undirected_isomorphic,
 )
 from .pebbling import (
@@ -371,10 +373,10 @@ def verify_thm_3_1(
     if k <= 4 or k % 2:
         raise GraphError(f"k must be even and greater than 4, got {k}")
     g = downward_cycle(k)
-    hits, scanned = _scan_cycle(g, pebble_cap, shards)
+    hits, scanned = scan_graph_assignments(g, pebble_cap, ft_filter=None, shards=shards)
     stats = {"k": k, "pebble_cap": pebble_cap, "scanned": scanned, "isomorphic_found": len(hits)}
     if hits:
-        counts = hits[0]
+        counts = hits[0][1]
         a = Assignment(g, counts)
         return VerificationReport(
             "thm-3.1",
@@ -392,11 +394,6 @@ def verify_thm_3_1(
         stats=stats,
         params={"k": k, "cap": pebble_cap},
     )
-
-
-def _scan_cycle(g: OrientedGraph, pebble_cap: int, shards: int):
-    hits, scanned = scan_graph_assignments(g, pebble_cap, ft_filter=None, shards=shards)
-    return [vec for _, vec, _ in hits], scanned
 
 
 def verify_thm_4_1(
@@ -785,7 +782,15 @@ def verify_thm_7_2(
         )
     g = ag.as_oriented_graph()
     stats = {"construction_vertices": len(g.vertices), "construction_edges": len(g.edges)}
-    submap = _find_oriented_subgraph(k_graph, g)
+    try:
+        submap = find_oriented_subgraph(k_graph, g)
+    except SearchBudgetExceededError:
+        stats["expansion_budget"] = DEFAULT_EXPANSION_BUDGET
+        notes = ("the oriented-subgraph search hit its expansion budget",)
+        return VerificationReport(
+            "thm-7.2", f"K({n},{m}) inside its own state graph", BUDGET_EXCEEDED,
+            stats=stats, notes=notes, params=params,
+        )
     if submap is None:
         return VerificationReport(
             "thm-7.2",
@@ -816,7 +821,7 @@ def verify_thm_7_2(
                 f"K({n},{m}) inside its own state graph",
                 HOLDS,
                 witness={
-                    "subgraph": submap,
+                    "subgraph": submap.mapping,
                     "assignment": candidate.as_dict(),
                     "isomorphism": iso.to_json_obj()["map"],
                 },
@@ -833,45 +838,6 @@ def verify_thm_7_2(
         notes=(f"no isomorphic assignment with counts up to {search_cap}; absence beyond the cap unproven",),
         params=params,
     )
-
-
-def _find_oriented_subgraph(pattern: OrientedGraph, host: OrientedGraph) -> dict[str, str] | None:
-    """Injective vertex map carrying every pattern edge to a host edge."""
-    p_order = sorted(
-        pattern.vertices, key=lambda v: -(pattern.valence(v) + pattern.in_degree(v))
-    )
-    used: set[str] = set()
-    image: dict[str, str] = {}
-
-    def rec(d: int) -> bool:
-        if d == len(p_order):
-            return True
-        v = p_order[d]
-        for x in host.vertices:
-            if x in used:
-                continue
-            if host.valence(x) < pattern.valence(v) or host.in_degree(x) < pattern.in_degree(v):
-                continue
-            ok = True
-            for u in p_order[:d]:
-                if pattern.has_edge(u, v) and not host.has_edge(image[u], x):
-                    ok = False
-                    break
-                if pattern.has_edge(v, u) and not host.has_edge(x, image[u]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = x
-                used.add(x)
-                if rec(d + 1):
-                    return True
-                used.discard(x)
-                del image[v]
-        return False
-
-    if not rec(0):
-        return None
-    return {v: image[v] for v in pattern.vertices}
 
 
 # -- section 8: undirected isomorphism ----------------------------------------

@@ -1,9 +1,10 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the library's algorithms: the state-space oracle is
-a memoization-free recursion over move sequences, the isomorphism oracle
-tries every vertex bijection, and the cycle oracle is a plain DFS.  Expected
-values frozen in the tests were computed with these.
+a memoization-free recursion over move sequences, the isomorphism and
+injection oracles try every vertex bijection or injection, and the cycle
+oracle is a plain DFS.  Expected values frozen in the tests were computed
+with these.
 """
 
 from __future__ import annotations
@@ -56,6 +57,32 @@ def brute_isomorphisms(g: OrientedGraph, h: OrientedGraph, directed: bool = True
             for w in gv
             if u != w
         ):
+            found.append(mapping)
+    return found
+
+
+def brute_injections(g: OrientedGraph, h: OrientedGraph, induced: bool):
+    """Every injective vertex map found by trying all ordered choices of
+    targets.  Induced maps make the undirected shadows agree on every pair;
+    the others carry every oriented edge of g onto an oriented edge of h."""
+    gv, hv = g.vertices, h.vertices
+
+    def shadow(graph, u, w):
+        return graph.has_edge(u, w) or graph.has_edge(w, u)
+
+    found = []
+    for targets in permutations(range(len(hv)), len(gv)):
+        mapping = {gv[i]: hv[targets[i]] for i in range(len(gv))}
+        if induced:
+            ok = all(
+                shadow(g, u, w) == shadow(h, mapping[u], mapping[w])
+                for u in gv
+                for w in gv
+                if u != w
+            )
+        else:
+            ok = all(h.has_edge(mapping[u], mapping[w]) for u, w in g.edges)
+        if ok:
             found.append(mapping)
     return found
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from pebblab import (
+    BUDGET_EXCEEDED,
     Assignment,
+    IsoMapping,
+    OrientedGraph,
     SearchBudgetExceededError,
     automorphisms,
     build,
@@ -13,14 +17,18 @@ from pebblab import (
     digraph_isomorphic,
     downward_cycle,
     find_induced_undirected_embedding,
+    find_oriented_subgraph,
     new_graph,
     oriented_complete_bipartite,
     oriented_path,
+    random_oriented_graph,
     simple_assignment,
+    theorems,
     undirected_isomorphic,
     verify_mapping,
 )
-from oracles import brute_isomorphisms
+from pebblab.iso import _backtrack, _directed_adj, _isomorphisms, _shadow_adj
+from oracles import brute_injections, brute_isomorphisms
 
 
 def _random_relabel(rng, g):
@@ -188,3 +196,141 @@ def test_iso_mapping_serialization():
     g = oriented_path(2)
     witness = digraph_isomorphic(g, g)
     assert witness.to_json_obj() == {"mode": "directed", "map": {"a1": "a1", "a2": "a2"}}
+
+
+# -- differential checks of the backtracking core ------------------------------
+
+
+def _random_pairs(seed, count):
+    """Seeded (g, relabeled copy of g, unrelated graph) triples on at most six
+    vertices, with g's vertices shuffled out of their index order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_oriented_graph(rng, rng.randint(0, 5), rng.random())
+        g = _random_relabel(rng, g)
+        other = random_oriented_graph(rng, rng.randint(0, 6), rng.random())
+        yield g, _random_relabel(rng, g), other
+
+
+def _as_maps(g, h, images):
+    return sorted(
+        tuple(sorted((g.vertices[i], h.vertices[x]) for i, x in enumerate(image)))
+        for image in images
+    )
+
+
+def test_isomorphism_entry_points_match_brute_force_on_random_graphs():
+    for g, copy, other in _random_pairs(11, 120):
+        for h in (copy, other):
+            for directed, search in ((True, digraph_isomorphic), (False, undirected_isomorphic)):
+                brute = brute_isomorphisms(g, h, directed=directed)
+                witness = search(g, h)
+                assert (witness is None) == (not brute), (g.edges, h.edges, directed)
+                if witness is not None:
+                    assert witness.mapping in brute
+                    assert verify_mapping(g, h, witness)
+        group = automorphisms(g)
+        assert sorted(m.pairs for m in group) == sorted(
+            tuple(b.items()) for b in brute_isomorphisms(g, g)
+        )
+        assert all(verify_mapping(g, g, m) for m in group)
+
+
+def test_core_counts_every_isomorphism():
+    for g, copy, other in _random_pairs(12, 60):
+        for h in (copy, other):
+            if len(g.vertices) != len(h.vertices):
+                continue
+            for directed, adj in ((True, _directed_adj), (False, lambda x: (_shadow_adj(x),) * 2)):
+                found = _isomorphisms(*adj(g), *adj(h), want_all=True)
+                brute = brute_isomorphisms(g, h, directed=directed)
+                assert _as_maps(g, h, found) == sorted(tuple(sorted(b.items())) for b in brute)
+
+
+def test_embedding_entry_points_match_brute_force_on_random_graphs():
+    for g, _, h in _random_pairs(13, 150):
+        for induced, search in (
+            (True, find_induced_undirected_embedding),
+            (False, find_oriented_subgraph),
+        ):
+            brute = brute_injections(g, h, induced=induced)
+            witness = search(g, h)
+            assert (witness is None) == (not brute), (g.edges, h.edges, induced)
+            if witness is not None:
+                assert witness.mode == ("induced-embedding" if induced else "subgraph")
+                assert witness.mapping in brute
+                assert verify_mapping(g, h, witness)
+
+
+def test_core_counts_every_injection():
+    for g, _, h in _random_pairs(14, 80):
+        every = list(range(len(h.vertices)))
+        order = list(range(len(g.vertices)))
+        for induced, adj in ((True, lambda x: (_shadow_adj(x),) * 2), (False, _directed_adj)):
+            found = _backtrack(order, [every] * len(order), *adj(g), *adj(h), induced, True)
+            brute = brute_injections(g, h, induced=induced)
+            assert _as_maps(g, h, found) == sorted(tuple(sorted(b.items())) for b in brute)
+
+
+def test_embeddings_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher, GraphMatcher
+
+    def as_nx(g, cls):
+        out = cls()
+        out.add_nodes_from(g.vertices)
+        out.add_edges_from(g.edges)
+        return out
+
+    for g, _, h in _random_pairs(15, 200):
+        mono = DiGraphMatcher(as_nx(h, nx.DiGraph), as_nx(g, nx.DiGraph)).subgraph_is_monomorphic()
+        assert mono == (find_oriented_subgraph(g, h) is not None), (g.edges, h.edges)
+        induced = GraphMatcher(as_nx(h, nx.Graph), as_nx(g, nx.Graph)).subgraph_is_isomorphic()
+        assert induced == (find_induced_undirected_embedding(g, h) is not None), (g.edges, h.edges)
+
+
+def test_oriented_subgraph_budget_raises():
+    with pytest.raises(SearchBudgetExceededError):
+        find_oriented_subgraph(oriented_path(2), downward_cycle(4), expansion_budget=1)
+    assert find_oriented_subgraph(oriented_path(2), downward_cycle(4), expansion_budget=2) is not None
+
+
+def test_thm_7_2_reports_a_capped_subgraph_search_as_budget_exceeded(monkeypatch):
+    def capped(g, h, expansion_budget=0):
+        raise SearchBudgetExceededError(expansion_budget)
+
+    monkeypatch.setattr(theorems, "find_oriented_subgraph", capped)
+    assert theorems.verify_thm_7_2(1, 2).verdict == BUDGET_EXCEEDED
+
+
+def test_subgraph_witness_that_drops_an_edge_is_rejected():
+    p3, c4 = oriented_path(3), downward_cycle(4)
+    good = IsoMapping("subgraph", (("a1", "top"), ("a2", "l1"), ("a3", "bottom")))
+    assert verify_mapping(p3, c4, good)
+    dropped = IsoMapping("subgraph", (("a1", "top"), ("a2", "l1"), ("a3", "r1")))
+    assert not verify_mapping(p3, c4, dropped)
+
+
+def test_verify_mapping_accepts_exactly_the_brute_force_maps():
+    rng = random.Random(16)
+    for g, copy, other in _random_pairs(17, 150):
+        # The copy plus one edge: an isomorphism of g onto the copy still
+        # carries g's edges into it, but is no longer an isomorphism.
+        free = [(u, w) for u, w in combinations(copy.vertices, 2)
+                if not copy.has_edge(u, w) and not copy.has_edge(w, u)]
+        denser = OrientedGraph(copy.vertices, copy.edges + tuple(rng.sample(free, min(1, len(free)))))
+        h = rng.choice((copy, other, denser))
+        if len(g.vertices) > len(h.vertices):
+            continue
+        # Some maps may repeat a target, which every mode must reject.
+        pick = rng.sample if rng.random() < 0.7 else lambda vs, k: rng.choices(vs, k=k)
+        targets = pick(h.vertices, len(g.vertices))
+        mapping = dict(zip(g.vertices, targets))
+        for mode, brute in (
+            ("directed", brute_isomorphisms(g, h, directed=True)),
+            ("undirected", brute_isomorphisms(g, h, directed=False)),
+            ("induced-embedding", brute_injections(g, h, induced=True)),
+            ("subgraph", brute_injections(g, h, induced=False)),
+        ):
+            witness = IsoMapping(mode, tuple(mapping.items()))
+            assert verify_mapping(g, h, witness) == (mapping in brute), (mode, g.edges, h.edges)
