@@ -8,9 +8,23 @@ and a bipartite undirected shadow.
 
 State identity is the exact pebble distribution, never the move history:
 independent moves applied in either order reach one state.
+
+Representation.  A state is one Python int holding every vertex's count in
+its own byte-aligned field (8, 16, 32, ... bits, the narrowest whose top bit
+stays clear for the pebble total); vertex i's field starts at bit i * width.
+The top bit of each field is a guard: adding ``2**(width-1) - k`` to every
+field sets the guard exactly where the count is at least ``k``, so one
+addition and one AND list the vertices holding two pebbles, and a move is
+one subtraction.  Edges are stored in compressed sparse rows of
+``array('I')``: a state's out-edges are ``offsets[i]:offsets[i+1]`` of
+``targets`` (state ids) and ``labels`` (indices into ``graph.edges``).
 """
 
 from __future__ import annotations
+
+from array import array
+from collections.abc import Sequence
+from functools import partial
 
 from .errors import StateBudgetExceededError
 from .graphs import OrientedGraph
@@ -18,39 +32,259 @@ from .pebbling import Assignment
 
 DEFAULT_STATE_BUDGET = 10**6
 
+# Most move-table entries a layout keeps.  Graphs with up to 12 vertices that
+# can move never reach it; past it, entries are computed and not kept, so
+# the table of the layout kept between builds stays small.
+_TABLE_LIMIT = 1 << 12
 
-class AssignmentGraph:
-    """Immutable state graph; state 0 is always the initial assignment."""
 
-    __slots__ = ("graph", "states", "edges")
+def _field_width(total: int) -> int:
+    """Bits per vertex field: 8 * 2**k, wide enough that no count (at most
+    ``total``) reaches the field's guard bit."""
+    width = 8
+    while total >> (width - 1):
+        width *= 2
+    return width
 
-    def __init__(
-        self,
-        graph: OrientedGraph,
-        states: tuple[tuple[int, ...], ...],
-        edges: tuple[tuple[int, int, int], ...],
-    ):
-        # edges are (from_state, to_state, index into graph.edges)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "edges", edges)
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("AssignmentGraph is immutable")
+class _Layout:
+    """How one graph's pebble vectors pack at one field width, with the
+    move table of each set of vertices that hold two or more pebbles."""
+
+    __slots__ = ("graph", "width", "repunit", "out_moves", "add2", "movable", "table")
+
+    def __init__(self, graph: OrientedGraph, width: int):
+        n = len(graph.vertices)
+        self.graph = graph
+        self.width = width
+        # One in the lowest bit of every field.
+        self.repunit = int.from_bytes((1).to_bytes(width // 8, "little") * n, "little")
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        # Per vertex: (edge index, what a move along the edge subtracts: two
+        # pebbles off its tail, one onto its head) for each out-edge.
+        self.out_moves: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e, (u, w) in enumerate(graph.edges):
+            i = index[u]
+            self.out_moves[i].append((e, (2 << (i * width)) - (1 << (index[w] * width))))
+        self.add2, self.movable = self.threshold_mask(2, 1)
+        self.table: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def threshold_mask(self, k: int, min_valence: int) -> tuple[int, int]:
+        """(add, high): ``(s + add) & high`` keeps the guard bit of every
+        vertex with valence at least ``min_valence`` holding at least ``k``
+        pebbles in state ``s``."""
+        top = self.width - 1
+        high = sum(
+            1 << (i * self.width + top)
+            for i, out in enumerate(self.out_moves)
+            if len(out) >= min_valence
+        )
+        return self.repunit * ((1 << top) - k), high
+
+    def moves(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(deltas, edge indices) of the legal moves, in edge order, when the
+        guard bits in ``mask`` mark the vertices holding two pebbles."""
+        entry = self.table.get(mask)
+        if entry is None:
+            legal: list[tuple[int, int]] = []
+            rest = mask
+            while rest:
+                top = rest.bit_length() - 1
+                legal += self.out_moves[top // self.width]
+                rest ^= 1 << top
+            legal.sort()
+            labels, deltas = zip(*legal) if legal else ((), ())
+            entry = (deltas, labels)
+            if len(self.table) < _TABLE_LIMIT:
+                self.table[mask] = entry
+        return entry
+
+    def pack(self, counts: Sequence[int]) -> int:
+        if self.width == 8:
+            return int.from_bytes(bytes(counts), "little")
+        return sum(c << (i * self.width) for i, c in enumerate(counts))
+
+    def unpack(self, s: int) -> tuple[int, ...]:
+        n, width = len(self.graph.vertices), self.width
+        if width == 8:
+            return tuple(s.to_bytes(n, "little"))
+        mask = (1 << width) - 1
+        return tuple((s >> (i * width)) & mask for i in range(n))
+
+
+# The layout of the last graph built.  Scans build one graph under many
+# assignments; one entry makes those repeats free without keeping older
+# graphs alive.  The entry is replaced whole and a layout's move table only
+# gains entries that any thread would compute identically, so builds stay
+# pure and thread-safe.
+_last_layout: _Layout | None = None
+
+
+def _layout(graph: OrientedGraph, width: int) -> _Layout:
+    global _last_layout
+    layout = _last_layout
+    if layout is None or layout.graph is not graph or layout.width != width:
+        layout = _last_layout = _Layout(graph, width)
+    return layout
+
+
+class _View(Sequence):
+    """Read-only tuple view: its length is known up front, its items are
+    materialised on first use and compare equal to the plain tuple."""
+
+    __slots__ = ("_len", "_make", "_items")
+
+    def __init__(self, length: int, make):
+        self._len = length
+        self._make = make
+        self._items = None
+
+    def _tuple(self) -> tuple:
+        if self._items is None:
+            self._items = self._make()
+        return self._items
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _View):
+            other = other._tuple()
+        if isinstance(other, tuple):
+            return self._tuple() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
 
     def __repr__(self) -> str:
-        return f"AssignmentGraph({len(self.states)} states, {len(self.edges)} edges)"
+        return repr(self._tuple())
+
+
+def _state_tuples(layout: _Layout, packed: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(layout.unpack, packed))
+
+
+def _edge_triples(offsets, targets, labels) -> tuple[tuple[int, int, int], ...]:
+    return tuple(
+        (i, targets[k], labels[k]) for i in range(len(offsets) - 1) for k in range(offsets[i], offsets[i + 1])
+    )
+
+
+class AssignmentGraph:
+    """Immutable state graph; state 0 is always the initial assignment.
+
+    The compact form is what ``build`` makes: ``packed`` (one int per state,
+    in id order), ``levels`` (the first state id of each pebble total, in
+    falling order of total), and the edge rows ``offsets``, ``targets`` and
+    ``labels`` (read-only memoryviews of the ``array('I')`` rows).
+    ``states`` (count tuples) and ``edges`` ((from, to, index into
+    graph.edges) triples, by source then edge order) are views of it,
+    materialised on first use; their lengths cost nothing.  None of these
+    attributes can be rebound or written to.
+    """
+
+    __slots__ = ("_layout", "_packed", "_levels", "_offsets", "_targets", "_labels", "_states", "_edges")
+
+    def __init__(self, layout: _Layout, packed, levels, offsets, targets, labels):
+        self._layout = layout
+        self._packed = tuple(packed)
+        self._levels = tuple(levels)
+        self._offsets = offsets
+        self._targets = targets
+        self._labels = labels
+        self._states = None
+        self._edges = None
+
+    def __repr__(self) -> str:
+        return f"AssignmentGraph({len(self._packed)} states, {len(self._targets)} edges)"
+
+    @property
+    def graph(self) -> OrientedGraph:
+        return self._layout.graph
+
+    @property
+    def packed(self) -> tuple[int, ...]:
+        return self._packed
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return self._levels
+
+    @property
+    def offsets(self) -> memoryview:
+        return memoryview(self._offsets).toreadonly()
+
+    @property
+    def targets(self) -> memoryview:
+        return memoryview(self._targets).toreadonly()
+
+    @property
+    def labels(self) -> memoryview:
+        return memoryview(self._labels).toreadonly()
+
+    # The views hold the rows, not ``self``: no reference cycle, so a
+    # dropped graph is freed at once.
+
+    @property
+    def states(self) -> Sequence[tuple[int, ...]]:
+        if self._states is None:
+            make = partial(_state_tuples, self._layout, self._packed)
+            self._states = _View(len(self._packed), make)
+        return self._states
+
+    @property
+    def edges(self) -> Sequence[tuple[int, int, int]]:
+        if self._edges is None:
+            make = partial(_edge_triples, self._offsets, self._targets, self._labels)
+            self._edges = _View(len(self._targets), make)
+        return self._edges
 
     @property
     def root(self) -> int:
         return 0
 
+    def successor(self, state_id: int, edge_index: int) -> int | None:
+        """The state that the move along ``graph.edges[edge_index]`` leads
+        to from ``state_id``, or ``None`` if that move is not legal there."""
+        labels = self._labels
+        for k in range(self._offsets[state_id], self._offsets[state_id + 1]):
+            if labels[k] == edge_index:
+                return self._targets[k]
+        return None
+
+    def child_lists(self, lo: int, hi: int) -> list[list[int]]:
+        """Children of states lo..hi-1, one list each, in edge order."""
+        offsets = self._offsets
+        base = offsets[lo]
+        flat = self._targets[base : offsets[hi]].tolist()
+        return [flat[offsets[j] - base : offsets[j + 1] - base] for j in range(lo, hi)]
+
+    def movable_condition(self, lo: int, hi: int) -> list[bool]:
+        """For states lo..hi-1: are two vertices movable (two pebbles and an
+        out-edge), or does a 2-movable vertex (two out-edges) hold at least
+        four pebbles?  Read off each packed state by guard-bit masks."""
+        layout = self._layout
+        add2, movable = layout.add2, layout.movable
+        add4, heavy = layout.threshold_mask(4, 2)
+        return [
+            bool(two & (two - 1)) or bool((s + add4) & heavy)
+            for s in self._packed[lo:hi]
+            for two in ((s + add2) & movable,)
+        ]
+
     def assignment(self, state_id: int) -> Assignment:
-        return Assignment(self.graph, self.states[state_id])
+        return Assignment(self.graph, self._layout.unpack(self._packed[state_id]))
 
     def state_label(self, state_id: int) -> str:
         """Pebble vector in vertex order, e.g. ``"2,1,0"``."""
-        return ",".join(map(str, self.states[state_id]))
+        return ",".join(map(str, self._layout.unpack(self._packed[state_id])))
 
     def move_label(self, edge_index: int) -> tuple[str, str]:
         return self.graph.edges[edge_index]
@@ -58,30 +292,26 @@ class AssignmentGraph:
     def labeled_edges(self) -> tuple[tuple[int, int, tuple[str, str]], ...]:
         return tuple((f, t, self.graph.edges[e]) for f, t, e in self.edges)
 
-    def successors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.states]
-        for f, t, _ in self.edges:
-            out[f].append(t)
-        return out
-
     def traversal_counts(self) -> dict[tuple[str, str], int]:
         """How many state transitions each edge of the base graph labels."""
-        counts = dict.fromkeys(self.graph.edges, 0)
-        for _, _, e in self.edges:
-            counts[self.graph.edges[e]] += 1
-        return counts
+        counts = [0] * len(self.graph.edges)
+        for e in self._labels:
+            counts[e] += 1
+        return dict(zip(self.graph.edges, counts))
 
     def is_fully_traversable(self) -> bool:
         """True iff the base graph has an edge and every edge labels at
         least one transition."""
-        if not self.graph.edges:
-            return False
-        return all(c >= 1 for c in self.traversal_counts().values())
+        return bool(self.graph.edges) and len(set(self._labels)) == len(self.graph.edges)
 
     def as_oriented_graph(self) -> OrientedGraph:
         """Forget labels and pebble contents; state ids become names."""
-        names = [str(i) for i in range(len(self.states))]
-        return OrientedGraph(names, ((str(f), str(t)) for f, t, _ in self.edges))
+        names = list(map(str, range(len(self._packed))))
+        offsets, targets = self._offsets, self._targets
+        return OrientedGraph(
+            names,
+            ((names[i], names[targets[k]]) for i in range(len(names)) for k in range(offsets[i], offsets[i + 1])),
+        )
 
     def to_dot(self) -> str:
         """Byte-stable DOT text: nodes in state order, edges sorted by
@@ -114,40 +344,52 @@ def build(
 
     States are deduplicated by exact pebble distribution; moves are tried in
     the graph's edge order, so state numbering (discovery order) and the
-    edge list are deterministic.  Raises StateBudgetExceededError instead of
-    returning a truncated graph.
+    edge list are deterministic.  Every move lowers the pebble total by one,
+    so breadth-first order is level order and the dedup map holds one level
+    at a time.  Raises StateBudgetExceededError instead of returning a
+    truncated graph.
     """
-    if start.graph != graph:
+    if start.graph is not graph and start.graph != graph:
         raise ValueError("assignment is bound to a different graph")
     if state_budget < 1:
         raise ValueError("state budget must be at least 1")
 
-    index = graph.index
-    edge_pairs = [(index(u), index(w)) for u, w in graph.edges]
-    root = start.counts
-    ids: dict[tuple[int, ...], int] = {root: 0}
-    states: list[tuple[int, ...]] = [root]
-    edges: list[tuple[int, int, int]] = []
+    layout = _layout(graph, _field_width(sum(start.counts)))
+    add, movable, table, moves = layout.add2, layout.movable, layout.table, layout.moves
+    packed = [layout.pack(start.counts)]
+    levels = [0]
+    offsets = array("I", [0])
+    targets = array("I")
+    labels = array("I")
+    put, push, extend_labels = offsets.append, targets.append, labels.extend
 
-    i = 0
-    while i < len(states):
-        counts = states[i]
-        for ei, (f, t) in enumerate(edge_pairs):
-            if counts[f] >= 2:
-                child = list(counts)
-                child[f] -= 2
-                child[t] += 1
-                key = tuple(child)
-                sid = ids.get(key)
+    begin = 0
+    while True:
+        end = len(packed)
+        room = state_budget - end
+        seen: dict[int, int] = {}
+        get = seen.get
+        for s in packed[begin:end]:
+            mask = (s + add) & movable
+            entry = table.get(mask)
+            if entry is None:
+                entry = moves(mask)
+            for d in entry[0]:
+                child = s - d
+                sid = get(child)
                 if sid is None:
-                    if len(states) >= state_budget:
-                        raise StateBudgetExceededError(state_budget)
-                    sid = len(states)
-                    ids[key] = sid
-                    states.append(key)
-                edges.append((i, sid, ei))
-        i += 1
-    return AssignmentGraph(graph, tuple(states), tuple(edges))
+                    sid = seen[child] = end + len(seen)
+                push(sid)
+            extend_labels(entry[1])
+            put(len(targets))
+            if len(seen) > room:
+                raise StateBudgetExceededError(state_budget)
+        if not seen:
+            break
+        packed += seen
+        levels.append(end)
+        begin = end
+    return AssignmentGraph(layout, packed, levels, offsets, targets, labels)
 
 
 def traversal_counts(ag: AssignmentGraph) -> dict[tuple[str, str], int]:

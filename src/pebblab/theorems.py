@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, product
 
 from .assignment_graph import DEFAULT_STATE_BUDGET, AssignmentGraph, build, find_downward_4_cycle
 from .classify import (
@@ -241,45 +241,41 @@ def verify_cor_1_2(
 # -- section 2: the downward 4-cycle criterion -------------------------------
 
 
-def _diamond_rooted_states(ag: AssignmentGraph) -> list[bool]:
-    """For each state: do two distinct children share a child?"""
-    succs = ag.successors()
-    out = [False] * len(ag.states)
-    for sid, children in enumerate(succs):
-        if len(children) < 2:
-            continue
-        seen: dict[int, int] = {}
-        found = False
-        for b in children:
-            for d in succs[b]:
-                prev = seen.get(d)
-                if prev is None:
-                    seen[d] = b
-                elif prev != b:
-                    found = True
-                    break
-            if found:
-                break
-        out[sid] = found
-    return out
+def _thm_2_1_sides(ag: AssignmentGraph) -> tuple[bool, tuple[int, bool, bool] | None]:
+    """Both sides of the diamond criterion at every state, in state order:
+    (does some state root a downward 4-cycle, first (state, diamond side,
+    movable side) where the sides differ, or ``None``).
 
-
-def _movable_side_states(ag: AssignmentGraph) -> list[bool]:
-    """For each state: two movable vertices, or a 2-movable vertex holding
-    at least four pebbles?"""
-    g = ag.graph
-    valences = [g.valence(v) for v in g.vertices]
-    out = []
-    for counts in ag.states:
-        movable = 0
-        heavy = False
-        for c, val in zip(counts, valences):
-            if c >= 2 and val >= 1:
-                movable += 1
-                if c >= 4 and val >= 2:
-                    heavy = True
-        out.append(movable >= 2 or heavy)
-    return out
+    Diamond side: two distinct children share a child.  Children of a state
+    are distinct, so that is a repeat among its grandchildren; moves lower
+    the pebble total by one, so a level's states need only the child lists
+    of the level below, and two levels of lists are held at a time.
+    Movable side: ``AssignmentGraph.movable_condition``.
+    """
+    bounds = (*ag.levels, len(ag.states))
+    any_diamond = False
+    mismatch = None
+    kids = ag.child_lists(bounds[0], bounds[1])
+    for level in range(1, len(bounds)):
+        begin, end = bounds[level - 1], bounds[level]
+        grand = ag.child_lists(end, bounds[level + 1]) if level + 1 < len(bounds) else []
+        for sid, children, rhs in zip(count(begin), kids, ag.movable_condition(begin, end)):
+            diamond = False
+            if len(children) > 1:
+                reached = set(grand[children[0] - end])
+                for b in children[1:]:
+                    below = grand[b - end]
+                    if not reached.isdisjoint(below):
+                        diamond = True
+                        break
+                    reached.update(below)
+            if diamond != rhs and mismatch is None:
+                mismatch = (sid, diamond, rhs)
+            any_diamond = any_diamond or diamond
+            if mismatch is not None and any_diamond:
+                return any_diamond, mismatch
+        kids = grand
+    return any_diamond, mismatch
 
 
 def check_thm_2_1(
@@ -297,26 +293,25 @@ def check_thm_2_1(
         ag = build(g, a, state_budget)
     except StateBudgetExceededError:
         return _budget_report("thm-2.1", a, state_budget)
-    diamond = _diamond_rooted_states(ag)
-    movable = _movable_side_states(ag)
+    any_diamond, mismatch = _thm_2_1_sides(ag)
     stats = {
         "states": len(ag.states),
         "edges": len(ag.edges),
-        "contains_downward_4_cycle": any(diamond),
+        "contains_downward_4_cycle": any_diamond,
     }
-    for sid, (lhs, rhs) in enumerate(zip(diamond, movable)):
-        if lhs != rhs:
-            return _instance_report(
-                "thm-2.1",
-                a,
-                COUNTEREXAMPLE,
-                stats=stats,
-                witness={
-                    "state": ag.state_label(sid),
-                    "diamond_rooted_here": lhs,
-                    "movable_condition_here": rhs,
-                },
-            )
+    if mismatch is not None:
+        sid, lhs, rhs = mismatch
+        return _instance_report(
+            "thm-2.1",
+            a,
+            COUNTEREXAMPLE,
+            stats=stats,
+            witness={
+                "state": ag.state_label(sid),
+                "diamond_rooted_here": lhs,
+                "movable_condition_here": rhs,
+            },
+        )
     return _instance_report("thm-2.1", a, HOLDS, stats=stats)
 
 
@@ -439,7 +434,7 @@ def verify_thm_5_1(
     except StateBudgetExceededError:
         return _budget_report("thm-5.1", a, state_budget)
     iso = digraph_isomorphic(tree, ag.as_oriented_graph())
-    explicit_ok = _explicit_tree_map_is_isomorphism(tree, a, ag)
+    explicit_ok = _explicit_tree_map_is_isomorphism(tree, ag)
     stats = {
         "states": len(ag.states),
         "isomorphic": iso is not None,
@@ -450,35 +445,26 @@ def verify_thm_5_1(
     return _instance_report("thm-5.1", a, COUNTEREXAMPLE, stats=stats)
 
 
-def _explicit_tree_map_is_isomorphism(
-    tree: OrientedGraph, a: Assignment, ag: AssignmentGraph
-) -> bool:
-    state_ids = {counts: i for i, counts in enumerate(ag.states)}
-    index = tree.index
+def _explicit_tree_map_is_isomorphism(tree: OrientedGraph, ag: AssignmentGraph) -> bool:
+    """Does psi, sending each vertex v to the state reached by pebbling along
+    the root-to-v path, biject the vertices onto the states and the edges
+    onto the transitions?  psi(w) is the end of the transition labelled
+    (v, w) out of psi(v), so every tree edge lands on a transition by
+    construction; the counts settle the rest."""
+    edge_index = {e: i for i, e in enumerate(tree.edges)}
     psi: dict[str, int] = {}
-    for v in tree.vertices:
-        path = [v]
-        while True:
-            parents = tree.in_neighbors(path[-1])
-            if not parents:
-                break
-            path.append(parents[0])
-        path.reverse()
-        counts = list(a.counts)
-        for x, y in zip(path, path[1:]):
-            counts[index(x)] -= 2
-            counts[index(y)] += 1
-            if counts[index(x)] < 0:
-                return False
-        sid = state_ids.get(tuple(counts))
-        if sid is None:
-            return False
+    stack = [(v, ag.root) for v in tree.sources()]
+    while stack:
+        v, sid = stack.pop()
         psi[v] = sid
+        for w in tree.out_neighbors(v):
+            child = ag.successor(sid, edge_index[(v, w)])
+            if child is None:
+                return False
+            stack.append((w, child))
     if len(set(psi.values())) != len(ag.states) or len(psi) != len(tree.vertices):
         return False
-    ag_edges = {(f, t) for f, t, _ in ag.edges}
-    tree_edges = {(psi[u], psi[w]) for u, w in tree.edges}
-    return tree_edges <= ag_edges and len(tree.edges) == len(ag.edges)
+    return len(tree.edges) == len(ag.edges)
 
 
 def verify_thm_5_1_batch(

@@ -5,13 +5,18 @@ a memoization-free recursion over move sequences, the isomorphism and
 injection oracles try every vertex bijection or injection, and the cycle
 oracle is a plain DFS.  Expected values frozen in the tests were computed
 with these.
+
+``reference_build`` is the earlier tuple-based ``build``, and
+``reference_thm_2_1`` the earlier per-state passes of the diamond criterion
+over its output: the packed-integer ``build`` and its thm-2.1 pass must
+agree with them exactly.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from pebblab import OrientedGraph
+from pebblab import Assignment, OrientedGraph, StateBudgetExceededError
 
 
 def naive_state_space(g: OrientedGraph, counts: tuple[int, ...]):
@@ -123,3 +128,142 @@ def undirected_cycle_exists(g: OrientedGraph) -> bool:
                 seen.add(w)
                 stack.append((w, v))
     return False
+
+
+class ReferenceAssignmentGraph:
+    """State graph as plain tuples: ``states`` are count vectors and
+    ``edges`` are (from_state, to_state, index into graph.edges)."""
+
+    def __init__(self, graph, states, edges):
+        self.graph = graph
+        self.states = states
+        self.edges = edges
+
+    def state_label(self, state_id: int) -> str:
+        return ",".join(map(str, self.states[state_id]))
+
+    def labeled_edges(self):
+        return tuple((f, t, self.graph.edges[e]) for f, t, e in self.edges)
+
+    def successors(self) -> list[list[int]]:
+        out: list[list[int]] = [[] for _ in self.states]
+        for f, t, _ in self.edges:
+            out[f].append(t)
+        return out
+
+    def to_dot(self) -> str:
+        lines = ["digraph assignment_graph {"]
+        for i in range(len(self.states)):
+            lines.append(f'  s{i} [label="{self.state_label(i)}"];')
+        rows = sorted((f, t, f"{u}->{w}") for f, t, (u, w) in self.labeled_edges())
+        for f, t, label in rows:
+            lines.append(f'  s{f} -> s{t} [label="{label}"];')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    def to_json_obj(self) -> dict:
+        return {
+            "vertices": list(self.graph.vertices),
+            "graph_edges": [list(e) for e in self.graph.edges],
+            "root": 0,
+            "states": [list(s) for s in self.states],
+            "edges": [[f, t, list(self.graph.edges[e])] for f, t, e in self.edges],
+        }
+
+
+def reference_build(graph: OrientedGraph, start: Assignment, state_budget: int = 10**6):
+    """Breadth-first closure of ``start`` over count tuples, with one dict
+    of every state seen."""
+    if start.graph != graph:
+        raise ValueError("assignment is bound to a different graph")
+    if state_budget < 1:
+        raise ValueError("state budget must be at least 1")
+
+    index = graph.index
+    edge_pairs = [(index(u), index(w)) for u, w in graph.edges]
+    root = start.counts
+    ids: dict[tuple[int, ...], int] = {root: 0}
+    states: list[tuple[int, ...]] = [root]
+    edges: list[tuple[int, int, int]] = []
+
+    i = 0
+    while i < len(states):
+        counts = states[i]
+        for ei, (f, t) in enumerate(edge_pairs):
+            if counts[f] >= 2:
+                child = list(counts)
+                child[f] -= 2
+                child[t] += 1
+                key = tuple(child)
+                sid = ids.get(key)
+                if sid is None:
+                    if len(states) >= state_budget:
+                        raise StateBudgetExceededError(state_budget)
+                    sid = len(states)
+                    ids[key] = sid
+                    states.append(key)
+                edges.append((i, sid, ei))
+        i += 1
+    return ReferenceAssignmentGraph(graph, tuple(states), tuple(edges))
+
+
+def reference_diamond_rooted_states(ag) -> list[bool]:
+    """For each state: do two distinct children share a child?"""
+    succs = ag.successors()
+    out = [False] * len(ag.states)
+    for sid, children in enumerate(succs):
+        if len(children) < 2:
+            continue
+        seen: dict[int, int] = {}
+        found = False
+        for b in children:
+            for d in succs[b]:
+                prev = seen.get(d)
+                if prev is None:
+                    seen[d] = b
+                elif prev != b:
+                    found = True
+                    break
+            if found:
+                break
+        out[sid] = found
+    return out
+
+
+def reference_movable_side_states(ag) -> list[bool]:
+    """For each state: two movable vertices, or a 2-movable vertex holding
+    at least four pebbles?"""
+    g = ag.graph
+    valences = [g.valence(v) for v in g.vertices]
+    out = []
+    for counts in ag.states:
+        movable = 0
+        heavy = False
+        for c, val in zip(counts, valences):
+            if c >= 2 and val >= 1:
+                movable += 1
+                if c >= 4 and val >= 2:
+                    heavy = True
+        out.append(movable >= 2 or heavy)
+    return out
+
+
+def reference_thm_2_1(ag):
+    """(verdict, stats, witness) of the diamond criterion on a reference
+    state graph, as ``check_thm_2_1`` reports them."""
+    diamond = reference_diamond_rooted_states(ag)
+    movable = reference_movable_side_states(ag)
+    stats = {
+        "states": len(ag.states),
+        "edges": len(ag.edges),
+        "contains_downward_4_cycle": any(diamond),
+    }
+    for sid, (lhs, rhs) in enumerate(zip(diamond, movable)):
+        if lhs != rhs:
+            witness = {
+                "state": ag.state_label(sid),
+                "diamond_rooted_here": lhs,
+                "movable_condition_here": rhs,
+            }
+            return "counterexample", stats, witness
+    return "holds", stats, None

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -16,8 +18,9 @@ from pebblab import (
     simple_assignment,
     tree_assignment,
 )
-from conftest import corpus_instances
-from oracles import brute_downward_4_cycles, naive_state_space
+from pebblab.generate import random_assignment, random_oriented_graph
+from conftest import corpus_instances, corpus_small_graphs
+from oracles import brute_downward_4_cycles, naive_state_space, reference_build
 
 
 def test_seven_state_figure():
@@ -239,3 +242,176 @@ def test_assignment_graph_is_simple(instances):
             assert (f, t) not in seen, name  # no parallel edges
             assert (t, f) not in seen, name  # no opposite pairs
             seen.add((f, t))
+
+
+def assert_same_as_reference(g, a, budget=10**6):
+    """``build`` and the tuple-based reference agree on states,
+    edges (ids and order), DOT, JSON, traversal counts and the unlabelled
+    graph, or both exceed the budget."""
+    try:
+        want = reference_build(g, a, budget)
+    except StateBudgetExceededError:
+        with pytest.raises(StateBudgetExceededError):
+            build(g, a, budget)
+        return None
+    got = build(g, a, budget)
+    assert got.states == want.states
+    assert got.edges == want.edges
+    assert tuple(got.states) == want.states and tuple(got.edges) == want.edges
+    assert [got.state_label(i) for i in range(len(want.states))] == [
+        want.state_label(i) for i in range(len(want.states))
+    ]
+    assert got.to_dot() == want.to_dot()
+    assert got.to_json_obj() == want.to_json_obj()
+    labels = [e for _, _, e in want.edges]
+    counts = {edge: labels.count(i) for i, edge in enumerate(g.edges)}
+    assert got.traversal_counts() == counts
+    assert got.is_fully_traversable() == (bool(counts) and min(counts.values()) >= 1)
+    shape = got.as_oriented_graph()
+    assert shape.vertices == tuple(str(i) for i in range(len(want.states)))
+    assert shape.edges == tuple((str(f), str(t)) for f, t, _ in want.edges)
+    return got
+
+
+def test_build_matches_reference_build():
+    for _, g, a in corpus_instances():
+        assert_same_as_reference(g, a)
+    for _, g in corpus_small_graphs():
+        rng = random.Random(len(g.vertices))
+        for _ in range(30):
+            assert_same_as_reference(g, random_assignment(rng, g, 5))
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_oriented_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.7))
+        assert_same_as_reference(g, random_assignment(rng, g, 5), budget=5_000)
+
+
+@pytest.mark.parametrize(
+    "total",
+    [127, 128, 255, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**32 + 7, 2**63, 2**63 + 1, 2**70, 2**130],
+)
+def test_field_width_boundaries(total):
+    # The sink holds the bulk, so the state graph stays small while its
+    # count sits next to a field's guard bit; with the sink first, a carry
+    # out of its field would land in the fields of the vertices that move.
+    edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "sink")]
+    for names in (["a", "b", "c", "sink"], ["sink", "c", "b", "a"]):
+        g = new_graph(names, edges)
+        for bulk, rest in ((total - 10, {"a": 5, "b": 2, "c": 3}), (total - 4, {"a": 4}), (total - 3, {"c": 3})):
+            a = Assignment(g, {"sink": bulk, **rest})
+            ag = assert_same_as_reference(g, a)
+            assert ag.states[0] == a.counts and sum(ag.states[-1]) < total
+            assert ag.assignment(len(ag.states) - 1).counts == ag.states[-1]
+
+
+@pytest.mark.parametrize("total", [126, 127, 128, 129, 2**15, 2**15 + 1])
+def test_field_width_boundaries_on_a_moving_vertex(total):
+    g = new_graph(["a", "b"], [("a", "b")])
+    ag = assert_same_as_reference(g, Assignment(g, (total - 1, 1)))
+    assert ag.states[0] == (total - 1, 1) and len(ag.states) == (total - 1) // 2 + 1
+
+
+def test_zero_vertex_graph():
+    g = new_graph([])
+    ag = assert_same_as_reference(g, Assignment(g, ()))
+    assert ag.states == ((),) and ag.edges == ()
+    assert ag.traversal_counts() == {} and not ag.is_fully_traversable()
+    assert ag.as_oriented_graph().vertices == ("0",)
+
+
+def test_zero_pebble_start():
+    g = downward_cycle(6)
+    ag = assert_same_as_reference(g, Assignment(g, {}))
+    assert ag.states == ((0,) * 6,) and ag.edges == ()
+
+
+def test_state_budget_edge_on_multilevel_instance():
+    g = downward_cycle(4)
+    a = Assignment(g, {"top": 6, "l1": 3})
+    states = len(reference_build(g, a).states)
+    assert states > 10 and len(build(g, a).levels) > 3
+    assert len(build(g, a, state_budget=states).states) == states
+    with pytest.raises(StateBudgetExceededError):
+        build(g, a, state_budget=states - 1)
+    with pytest.raises(StateBudgetExceededError):
+        reference_build(g, a, state_budget=states - 1)
+
+
+def test_levels_hold_one_pebble_total_each():
+    g = downward_cycle(4)
+    ag = build(g, Assignment(g, {"top": 5, "l1": 2, "r1": 3}))
+    bounds = (*ag.levels, len(ag.states))
+    for depth, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        assert lo < hi
+        assert {sum(ag.states[i]) for i in range(lo, hi)} == {sum(ag.states[0]) - depth}
+
+
+def test_views_behave_like_tuples():
+    g = downward_cycle(4)
+    ag = build(g, Assignment(g, {"top": 4}))
+    want = reference_build(g, Assignment(g, {"top": 4}))
+    assert ag.states == want.states and want.states == ag.states
+    assert ag.states != list(want.states)
+    assert hash(ag.edges) == hash(want.edges)
+    assert ag.states[1:3] == want.states[1:3] and ag.edges[-1] == want.edges[-1]
+    assert list(ag.edges) == list(want.edges) and want.states[2] in ag.states
+    assert repr(ag.states) == repr(want.states)
+
+
+def test_state_graph_is_immutable():
+    g = downward_cycle(4)
+    ag = build(g, Assignment(g, {"top": 4}))
+    states, edges = tuple(ag.states), tuple(ag.edges)
+    for name in ("graph", "packed", "levels", "offsets", "targets", "labels", "states", "edges"):
+        with pytest.raises(AttributeError):
+            setattr(ag, name, None)
+    for row in (ag.offsets, ag.targets, ag.labels):
+        with pytest.raises(TypeError):
+            row[0] = 1
+    assert isinstance(ag.packed, tuple) and isinstance(ag.levels, tuple)
+    assert ag.states == states and ag.edges == edges
+    assert list(ag.targets) == [t for _, t, _ in edges] and list(ag.labels) == [e for _, _, e in edges]
+
+
+def test_successor_reads_the_move_rows():
+    g = downward_cycle(4)
+    ag = build(g, Assignment(g, {"top": 4}))
+    for sid in range(len(ag.states)):
+        moves = {e: t for f, t, e in ag.edges if f == sid}
+        for e in range(len(g.edges)):
+            assert ag.successor(sid, e) == moves.get(e)
+
+
+def test_concurrent_builds_share_the_layout_memo_safely():
+    # Threads building two graphs in turn keep replacing the one-entry
+    # layout memo and filling the same move tables; every build must still
+    # equal the reference.
+    rng = random.Random(5)
+    jobs = []
+    for _ in range(2):
+        g = random_oriented_graph(rng, 6, 0.5)
+        for _ in range(4):
+            a = random_assignment(rng, g, 5)
+            want = reference_build(g, a)
+            jobs.append((g, a, want.states, want.edges))
+    failures: list[str] = []
+
+    def worker(offset: int) -> None:
+        for k in range(60):
+            g, a, states, edges = jobs[(offset + k) % len(jobs)]
+            ag = build(g, a)
+            if ag.states != states or ag.edges != edges:
+                failures.append(f"worker {offset} job {k}")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

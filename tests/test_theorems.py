@@ -38,6 +38,12 @@ from pebblab import (
     verify_thm_7_1,
     verify_thm_7_2,
 )
+from array import array
+
+from pebblab import theorems
+from pebblab.assignment_graph import AssignmentGraph
+from pebblab.classify import iter_count_vectors
+from pebblab.generate import enumerate_oriented_graphs, random_assignment, random_oriented_graph
 from pebblab.pebbling import near_sink_assignment
 from pebblab.theorems import (
     BUDGET_EXCEEDED,
@@ -45,7 +51,8 @@ from pebblab.theorems import (
     HOLDS,
     HYPOTHESIS_NOT_MET,
 )
-from conftest import star_tree
+from conftest import corpus_instances, star_tree
+from oracles import ReferenceAssignmentGraph, reference_build, reference_thm_2_1
 
 
 # -- prop 1.1 and its corollaries ---------------------------------------------
@@ -143,6 +150,83 @@ def test_thm_2_1_budget():
     assert report.verdict == BUDGET_EXCEEDED
 
 
+def assert_thm_2_1_matches_reference(g, a, budget=10**6):
+    report = check_thm_2_1(g, a, budget)
+    try:
+        want = reference_thm_2_1(reference_build(g, a, budget))
+    except theorems.StateBudgetExceededError:
+        assert report.verdict == BUDGET_EXCEEDED
+        return
+    assert (report.verdict, report.stats, report.witness) == want
+
+
+def test_thm_2_1_matches_reference_on_exhaustive_4_vertex_corpus():
+    checked = 0
+    for g in enumerate_oriented_graphs(4):
+        non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
+        for _, vec in iter_count_vectors(len(non_sink), 4):
+            counts = [0] * len(g.vertices)
+            for pos, c in zip(non_sink, vec):
+                counts[pos] = c
+            assert_thm_2_1_matches_reference(g, Assignment(g, counts))
+            checked += 1
+    assert checked == 7384
+
+
+def test_thm_2_1_matches_reference_on_random_draws():
+    rng = random.Random(2021)
+    for _ in range(400):
+        g = random_oriented_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.6))
+        assert_thm_2_1_matches_reference(g, random_assignment(rng, g, 6), budget=20_000)
+
+
+def _tampered(ag, edges):
+    """``ag`` with its edge rows replaced by ``edges`` (sorted triples), and
+    the reference graph with the same edges."""
+    edges = sorted(edges)
+    offsets = array("I", [0] * (len(ag.states) + 1))
+    for f, _, _ in edges:
+        offsets[f + 1] += 1
+    for i in range(len(ag.states)):
+        offsets[i + 1] += offsets[i]
+    new = AssignmentGraph(
+        ag._layout, ag.packed, ag.levels, offsets,
+        array("I", [t for _, t, _ in edges]), array("I", [e for _, _, e in edges]),
+    )
+    return new, ReferenceAssignmentGraph(ag.graph, tuple(ag.states), tuple(edges))
+
+
+def test_thm_2_1_counterexample_witness_matches_reference(monkeypatch):
+    # The criterion holds on every real state graph, so tamper with the
+    # edges (drop one, or redirect one within its level) to make both
+    # passes find counterexamples, and compare the first one they report.
+    counterexamples, kinds = 0, set()
+    for _, g, a in corpus_instances():
+        ag = build(g, a)
+        if len(ag.edges) > 200:
+            continue
+        edges = list(ag.edges)
+        bounds = (*ag.levels, len(ag.states))
+        variants = [edges[:k] + edges[k + 1 :] for k in range(len(edges))]
+        for k, (f, t, e) in enumerate(edges):
+            level = max(i for i, lo in enumerate(bounds) if lo <= t)
+            taken = {x for y, x, _ in edges if y == f}
+            for other in range(bounds[level], bounds[level + 1]):
+                if other not in taken:
+                    variants.append(edges[:k] + [(f, other, e)] + edges[k + 1 :])
+                    break
+        for variant in variants:
+            new, ref = _tampered(ag, variant)
+            monkeypatch.setattr(theorems, "build", lambda *args, new=new: new)
+            report = check_thm_2_1(g, a)
+            want = reference_thm_2_1(ref)
+            assert (report.verdict, report.stats, report.witness) == want
+            if report.verdict == COUNTEREXAMPLE:
+                kinds.add(report.witness["diamond_rooted_here"])
+                counterexamples += 1
+    assert counterexamples >= 50 and kinds == {False, True}
+
+
 def test_thm_2_2_holds_and_gates():
     c4 = downward_cycle(4)
     # (2,1,1,0) is fully traversable: both branches appear across the state graph
@@ -237,6 +321,19 @@ def test_thm_5_1_examples():
     assert report.stats["explicit_map_verified"] is True
     star = star_tree(4)
     assert verify_thm_5_1(star, 3).verdict == HOLDS
+
+
+def test_explicit_tree_map_needs_legal_moves_along_root_paths():
+    tree = new_graph(["r", "x", "y", "z"], [("r", "x"), ("x", "y"), ("r", "z")])
+    ok = tree_assignment(tree, 2)
+    assert theorems._explicit_tree_map_is_isomorphism(tree, build(tree, ok))
+    # With x empty, r -> x leaves x one pebble, so x -> y is never legal on
+    # the root-to-y path.
+    stalled = Assignment(tree, {"r": 2, "x": 0, "y": 0, "z": 0})
+    assert not theorems._explicit_tree_map_is_isomorphism(tree, build(tree, stalled))
+    # Every move is legal, but the states outnumber the vertices.
+    crowded = Assignment(tree, {"r": 3, "x": 3, "y": 0, "z": 0})
+    assert not theorems._explicit_tree_map_is_isomorphism(tree, build(tree, crowded))
 
 
 def test_thm_5_1_random_tree():
