@@ -10,13 +10,18 @@ with these.
 ``reference_thm_2_1`` the earlier per-state passes of the diamond criterion
 over its output: the packed-integer ``build`` and its thm-2.1 pass must
 agree with them exactly.
+
+``reference_enumerate_oriented_graphs`` is the earlier orientation sweep:
+every choice of absent/forward/backward per vertex pair, in ``product``
+order, kept when its canonical form is new.  The vertex-augmentation
+enumeration must return the same graphs in the same order.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
-from pebblab import Assignment, OrientedGraph, StateBudgetExceededError
+from pebblab import Assignment, OrientedGraph, StateBudgetExceededError, canonical_form
 
 
 def naive_state_space(g: OrientedGraph, counts: tuple[int, ...]):
@@ -267,3 +272,31 @@ def reference_thm_2_1(ag):
             }
             return "counterexample", stats, witness
     return "holds", stats, None
+
+
+def reference_enumerate_oriented_graphs(max_vertices: int, min_vertices: int = 1) -> list[OrientedGraph]:
+    """All oriented graphs with ``min_vertices`` to ``max_vertices``
+    vertices, one representative per isomorphism class.
+
+    Generates every orientation choice (absent, forward, backward) per
+    vertex pair and deduplicates by canonical form; feasible up to five or
+    so vertices.
+    """
+    out: list[OrientedGraph] = []
+    for n in range(min_vertices, max_vertices + 1):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(range(n), 2))
+        seen: set[bytes] = set()
+        for choice in product((0, 1, 2), repeat=len(pairs)):
+            edges = []
+            for (i, j), c in zip(pairs, choice):
+                if c == 1:
+                    edges.append((names[i], names[j]))
+                elif c == 2:
+                    edges.append((names[j], names[i]))
+            g = OrientedGraph(names, edges)
+            key = canonical_form(g)
+            if key not in seen:
+                seen.add(key)
+                out.append(g)
+    return out

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, permutations
 
 from pebblab import (
+    OrientedGraph,
     canonical_form,
     enumerate_downward_trees,
     enumerate_oriented_graphs,
@@ -10,7 +12,8 @@ from pebblab import (
     random_downward_tree,
     random_oriented_graph,
 )
-from oracles import brute_isomorphisms
+from pebblab.generate import _least_choice_tuple, _masks
+from oracles import brute_isomorphisms, reference_enumerate_oriented_graphs
 
 
 def _brute_class_count(graphs):
@@ -35,6 +38,62 @@ def test_enumeration_has_no_duplicates():
     graphs = enumerate_oriented_graphs(4)
     forms = [canonical_form(g) for g in graphs]
     assert len(set(forms)) == len(forms)
+
+
+def _choice_tuple(g, order):
+    """Per pair of positions in ``combinations`` order: 0 absent, 1 for the
+    earlier vertex pointing at the later one, 2 for the reverse."""
+    return tuple(
+        1 if g.has_edge(u, w) else 2 if g.has_edge(w, u) else 0
+        for u, w in combinations(order, 2)
+    )
+
+
+def _brute_least_choice_tuple(g):
+    return min(_choice_tuple(g, order) for order in permutations(g.vertices))
+
+
+def _least_key(g):
+    return _least_choice_tuple(*_masks(len(g.vertices), _choice_tuple(g, g.vertices)))
+
+
+def test_enumeration_matches_the_orientation_sweep():
+    for max_vertices in range(5):
+        for min_vertices in range(6):
+            got = enumerate_oriented_graphs(max_vertices, min_vertices)
+            want = reference_enumerate_oriented_graphs(max_vertices, min_vertices)
+            assert [(g.vertices, g.edges) for g in got] == [(g.vertices, g.edges) for g in want]
+    assert [(g.vertices, g.edges) for g in enumerate_oriented_graphs(0, 0)] == [((), ())]
+    assert enumerate_oriented_graphs(2, 3) == []
+
+
+def test_five_vertex_representatives_are_least_and_sorted():
+    # what the sweep would keep, without running its 3^10 orientations
+    graphs = enumerate_oriented_graphs(5, min_vertices=5)
+    tuples = [_choice_tuple(g, g.vertices) for g in graphs]
+    for g, t in zip(graphs, tuples):
+        assert g.vertices == ("v0", "v1", "v2", "v3", "v4")
+        assert t == _brute_least_choice_tuple(g)
+    assert tuples == sorted(tuples)
+    assert len({canonical_form(g) for g in graphs}) == len(graphs) == 582
+
+
+def test_six_vertex_class_count_follows_oeis_a001174():
+    # 582 at five vertices is checked above; a sweep would take hours here
+    assert len(enumerate_oriented_graphs(6, min_vertices=6)) == 21480
+
+
+def test_least_choice_tuple_is_the_brute_force_minimum():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_oriented_graph(rng, rng.randint(0, 6), rng.uniform(0.1, 0.9))
+        key = _least_key(g)
+        assert key == _brute_least_choice_tuple(g)
+        perm = list(g.vertices)
+        rng.shuffle(perm)
+        relabel = dict(zip(g.vertices, perm))
+        h = OrientedGraph(g.vertices, ((relabel[u], relabel[w]) for u, w in g.edges))
+        assert _least_key(h) == key
 
 
 def test_enumerate_downward_trees_counts():

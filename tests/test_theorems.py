@@ -559,9 +559,12 @@ def test_no_fully_traversable_pair_contains_a_downward_4_cycle():
 
 
 def test_shards_give_identical_results():
-    single = classify_downward_4_cycle(4, shards=1)
-    sharded = classify_downward_4_cycle(4, shards=2)
-    assert [(p.counts, p.fully_traversable) for p in single.pairs] == [
-        (p.counts, p.fully_traversable) for p in sharded.pairs
-    ]
-    assert single.scanned == sharded.scanned
+    runs = (
+        lambda shards: search_isomorphic_pairs(3, 3, shards=shards),
+        lambda shards: classify_downward_4_cycle(4, shards=shards),
+    )
+    for run in runs:
+        single = run(1).to_json_obj()
+        assert single["pairs"]
+        for shards in (2, 3):
+            assert run(shards).to_json_obj() == single
