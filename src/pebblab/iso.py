@@ -16,6 +16,11 @@ isomorphisms, ``"induced-embedding"`` (g's shadow onto an induced subgraph of
 h's shadow) and ``"subgraph"`` (every oriented edge of g onto an oriented edge
 of h).  Each is re-verified by ``verify_mapping`` before it is returned.
 
+Color refinement (``_refine``) ranks each vertex's (color, sorted out-neighbor
+colors, sorted in-neighbor colors) signature and stops in the first round in
+which the number of color classes does not grow.  That round's ranks are the
+input colors densely relabelled, so dense stable input comes back unchanged.
+
 ``canonical_labeling`` keeps its own recursion: it minimizes an encoding over
 vertex orderings rather than mapping into a target graph.  Instances in this
 project stay small (a few dozen vertices), so a self-contained search beats
@@ -58,10 +63,11 @@ class IsoMapping:
 
 def _directed_adj(g: OrientedGraph) -> tuple[list[set[int]], list[set[int]]]:
     n = len(g.vertices)
+    index = g._index
     out: list[set[int]] = [set() for _ in range(n)]
     inn: list[set[int]] = [set() for _ in range(n)]
     for u, w in g.edges:
-        iu, iw = g.index(u), g.index(w)
+        iu, iw = index[u], index[w]
         out[iu].add(iw)
         inn[iw].add(iu)
     return out, inn
@@ -69,33 +75,37 @@ def _directed_adj(g: OrientedGraph) -> tuple[list[set[int]], list[set[int]]]:
 
 def _shadow_adj(g: OrientedGraph) -> list[set[int]]:
     n = len(g.vertices)
+    index = g._index
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, w in g.edges:
-        iu, iw = g.index(u), g.index(w)
+        iu, iw = index[u], index[w]
         adj[iu].add(iw)
         adj[iw].add(iu)
     return adj
 
 
-def _refine(out_adj: list[set[int]], in_adj: list[set[int]], colors: list[int]) -> list[int]:
+def _refine(out_adj, in_adj, colors: list[int]) -> list[int]:
     """Iterate neighborhood-multiset refinement to a fixpoint.
 
     Colors are ranks of structure-determined signatures, so they are
     invariant under relabeling and comparable across graphs refined in one
-    combined universe.
+    combined universe.  A signature starts with the vertex's own color, so
+    each round refines the last one and its ranks keep the old color order;
+    the first round that adds no class returns its ranks, which are then
+    the input colors densely relabelled.
     """
-    n = len(colors)
+    classes = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            so = tuple(sorted(colors[w] for w in out_adj[v]))
-            si = tuple(sorted(colors[w] for w in in_adj[v]))
-            sigs.append((colors[v], so, si))
+        color = colors.__getitem__
+        sigs = [
+            (c, tuple(sorted(map(color, out))), tuple(sorted(map(color, inn))))
+            for c, out, inn in zip(colors, out_adj, in_adj)
+        ]
         ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
+        colors = [ranks[s] for s in sigs]
+        if len(ranks) == classes:
             return colors
-        colors = new
+        classes = len(ranks)
 
 
 def _joint_colors(
@@ -106,8 +116,8 @@ def _joint_colors(
 ) -> tuple[list[int], list[int]]:
     """Refine both graphs in one universe so colors match across them."""
     n = len(g_out)
-    out = [set(s) for s in g_out] + [{w + n for w in s} for s in h_out]
-    inn = [set(s) for s in g_in] + [{w + n for w in s} for s in h_in]
+    out = [tuple(s) for s in g_out] + [tuple(w + n for w in s) for s in h_out]
+    inn = [tuple(s) for s in g_in] + [tuple(w + n for w in s) for s in h_in]
     degrees = [(len(out[v]), len(inn[v])) for v in range(len(out))]
     ranks = {d: r for r, d in enumerate(sorted(set(degrees)))}
     colors = _refine(out, inn, [ranks[d] for d in degrees])
@@ -118,19 +128,24 @@ def _joint_colors(
 
 
 def _variable_order(n: int, g_out, g_in, colors: list[int]) -> list[int]:
-    """Place connected, rare-colored vertices first."""
+    """Place connected, rare-colored vertices first.
+
+    The next vertex has the most placed neighbors, then the smallest color
+    class, then the lowest index.  That triple is packed into one integer
+    key, ``-placed_neighbors * n(n+1) + class_size * n + u``, which drops by
+    ``n(n+1)`` for each neighbor placed.
+    """
     color_count = Counter(colors)
+    step = n * (n + 1)
+    key = [color_count[c] * n + u for u, c in enumerate(colors)]
     order: list[int] = []
-    placed: set[int] = set()
     remaining = set(range(n))
     while remaining:
-        v = min(
-            remaining,
-            key=lambda u: (-len((g_out[u] | g_in[u]) & placed), color_count[colors[u]], u),
-        )
+        v = min(remaining, key=key.__getitem__)
         order.append(v)
-        placed.add(v)
         remaining.discard(v)
+        for u in g_out[v] | g_in[v]:
+            key[u] -= step
     return order
 
 

@@ -75,6 +75,6 @@ def format_graph(g: OrientedGraph) -> str:
 
 def format_assignment(a: Assignment) -> str:
     g = a.graph
-    lines = [f"v {v} {a[v]}" for v in g.vertices]
+    lines = [f"v {v} {c}" for v, c in zip(g.vertices, a.counts)]
     lines += [f"e {u} {w}" for u, w in g.edges]
     return "\n".join(lines) + "\n"

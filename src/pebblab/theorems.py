@@ -124,28 +124,22 @@ class VerificationReport:
 
 def _describe(a: Assignment) -> str:
     g = a.graph
-    counts = ",".join(f"{v}={a[v]}" for v in g.vertices)
+    counts = ",".join(f"{v}={c}" for v, c in zip(g.vertices, a.counts))
     return f"{len(g.vertices)}v/{len(g.edges)}e graph with pebbles {counts}"
 
 
 def _budget_report(claim: str, a: Assignment, budget: int) -> VerificationReport:
-    return VerificationReport(
-        claim,
-        _describe(a),
-        BUDGET_EXCEEDED,
-        stats={"state_budget": budget},
-        instance_text=format_assignment(a),
-        params={"input": format_assignment(a)},
-    )
+    return _instance_report(claim, a, BUDGET_EXCEEDED, stats={"state_budget": budget})
 
 
 def _instance_report(claim: str, a: Assignment, verdict: str, **kwargs) -> VerificationReport:
+    text = format_assignment(a)
     return VerificationReport(
         claim,
         _describe(a),
         verdict,
-        instance_text=format_assignment(a),
-        params={"input": format_assignment(a)},
+        instance_text=text,
+        params={"input": text},
         **kwargs,
     )
 

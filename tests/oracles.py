@@ -15,10 +15,16 @@ agree with them exactly.
 every choice of absent/forward/backward per vertex pair, in ``product``
 order, kept when its canonical form is new.  The vertex-augmentation
 enumeration must return the same graphs in the same order.
+
+``reference_refine`` and ``reference_variable_order`` are the earlier color
+refinement, which ran one extra round to confirm its fixpoint, and the
+earlier variable order, which rescanned every unplaced vertex per placement.
+``iso._refine`` and ``iso._variable_order`` must return exactly their lists.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 from pebblab import Assignment, OrientedGraph, StateBudgetExceededError, canonical_form
@@ -300,3 +306,41 @@ def reference_enumerate_oriented_graphs(max_vertices: int, min_vertices: int = 1
                 seen.add(key)
                 out.append(g)
     return out
+
+
+def reference_refine(out_adj: list[set[int]], in_adj: list[set[int]], colors: list[int]) -> list[int]:
+    """Iterate neighborhood-multiset refinement to a fixpoint.
+
+    Colors are ranks of structure-determined signatures, so they are
+    invariant under relabeling and comparable across graphs refined in one
+    combined universe.
+    """
+    n = len(colors)
+    while True:
+        sigs = []
+        for v in range(n):
+            so = tuple(sorted(colors[w] for w in out_adj[v]))
+            si = tuple(sorted(colors[w] for w in in_adj[v]))
+            sigs.append((colors[v], so, si))
+        ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_variable_order(n: int, g_out, g_in, colors: list[int]) -> list[int]:
+    """Place connected, rare-colored vertices first."""
+    color_count = Counter(colors)
+    order: list[int] = []
+    placed: set[int] = set()
+    remaining = set(range(n))
+    while remaining:
+        v = min(
+            remaining,
+            key=lambda u: (-len((g_out[u] | g_in[u]) & placed), color_count[colors[u]], u),
+        )
+        order.append(v)
+        placed.add(v)
+        remaining.discard(v)
+    return order

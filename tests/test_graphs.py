@@ -53,6 +53,51 @@ def test_constructor_rejects_unknown_endpoint():
         new_graph(["a"], [("a", "b")])
 
 
+PATH6 = [f"p{i}" for i in range(1, 7)]
+PATH6_EDGES = list(zip(PATH6, PATH6[1:]))
+
+
+@pytest.mark.parametrize(
+    "bad, position, error, message",
+    [
+        (("p3", "zz"), 0, UnknownEndpointError, "edge endpoint 'zz' is not a declared vertex"),
+        (("zz", "p1"), 2, UnknownEndpointError, "edge endpoint 'zz' is not a declared vertex"),
+        (("p3", "zz"), 5, UnknownEndpointError, "edge endpoint 'zz' is not a declared vertex"),
+        (("p4", "p4"), 0, SelfLoopError, "self-loop on vertex 'p4'"),
+        (("p4", "p4"), 2, SelfLoopError, "self-loop on vertex 'p4'"),
+        (("p4", "p4"), 5, SelfLoopError, "self-loop on vertex 'p4'"),
+        # First, the reversed edge comes before p2 -> p3, which is then
+        # the offender; in the middle and last it is the offender itself.
+        (("p3", "p2"), 0, BidirectionalEdgeError, "edges in both directions between 'p2' and 'p3'"),
+        (("p3", "p2"), 2, BidirectionalEdgeError, "edges in both directions between 'p3' and 'p2'"),
+        (("p3", "p2"), 5, BidirectionalEdgeError, "edges in both directions between 'p3' and 'p2'"),
+    ],
+)
+def test_constructor_names_the_first_offending_edge(bad, position, error, message):
+    edges = PATH6_EDGES[:position] + [bad] + PATH6_EDGES[position:]
+    with pytest.raises(error) as caught:
+        new_graph(PATH6, edges)
+    assert str(caught.value) == message
+
+
+def test_constructor_reports_the_earliest_of_several_errors():
+    with pytest.raises(SelfLoopError, match="'p2'"):
+        new_graph(PATH6, [("p1", "p2"), ("p2", "p2"), ("p1", "zz"), ("p2", "p1")])
+    with pytest.raises(BidirectionalEdgeError) as caught:
+        new_graph(PATH6, [("p1", "p2"), ("p1", "p2"), ("p2", "p1"), ("zz", "p1")])
+    assert str(caught.value) == "edges in both directions between 'p2' and 'p1'"
+    with pytest.raises(DuplicateVertexError) as caught:
+        new_graph(["a", "b", "b", "a"])
+    assert str(caught.value) == "duplicate vertex 'b'"
+
+
+def test_constructor_accepts_edges_as_pairs_of_any_kind():
+    g = new_graph(["a", "b", "c"], iter([["a", "b"], "bc", ("a", "c"), ["a", "b"]]))
+    assert g.edges == (("a", "b"), ("b", "c"), ("a", "c"))
+    assert g.out_neighbors("a") == ("b", "c")
+    assert g.in_neighbors("c") == ("b", "a")
+
+
 def test_duplicate_edges_collapse():
     g = new_graph(["a", "b"], [("a", "b"), ("a", "b")])
     assert g.edges == (("a", "b"),)

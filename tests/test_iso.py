@@ -272,21 +272,64 @@ def test_core_counts_every_injection():
             assert _as_maps(g, h, found) == sorted(tuple(sorted(b.items())) for b in brute)
 
 
+def _as_nx(g, cls):
+    out = cls()
+    out.add_nodes_from(g.vertices)
+    out.add_edges_from(g.edges)
+    return out
+
+
 def test_embeddings_agree_with_networkx():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import DiGraphMatcher, GraphMatcher
 
-    def as_nx(g, cls):
-        out = cls()
-        out.add_nodes_from(g.vertices)
-        out.add_edges_from(g.edges)
-        return out
-
     for g, _, h in _random_pairs(15, 200):
-        mono = DiGraphMatcher(as_nx(h, nx.DiGraph), as_nx(g, nx.DiGraph)).subgraph_is_monomorphic()
+        mono = DiGraphMatcher(_as_nx(h, nx.DiGraph), _as_nx(g, nx.DiGraph)).subgraph_is_monomorphic()
         assert mono == (find_oriented_subgraph(g, h) is not None), (g.edges, h.edges)
-        induced = GraphMatcher(as_nx(h, nx.Graph), as_nx(g, nx.Graph)).subgraph_is_isomorphic()
+        induced = GraphMatcher(_as_nx(h, nx.Graph), _as_nx(g, nx.Graph)).subgraph_is_isomorphic()
         assert induced == (find_induced_undirected_embedding(g, h) is not None), (g.edges, h.edges)
+
+
+def test_digraph_isomorphic_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(18)
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        g = random_oriented_graph(rng, n, rng.random())
+        copy = _random_relabel(rng, g)
+        # An independent draw with g's edge count, so that the cheap size
+        # checks rarely settle the answer.
+        names = [f"w{i}" for i in range(n)]
+        pairs = rng.sample(list(combinations(names, 2)), len(g.edges))
+        other = new_graph(names, [(u, w) if rng.random() < 0.5 else (w, u) for u, w in pairs])
+        for h in (copy, other):
+            expected = nx.is_isomorphic(_as_nx(g, nx.DiGraph), _as_nx(h, nx.DiGraph))
+            assert (digraph_isomorphic(g, h) is not None) == expected, (g.edges, h.edges)
+
+
+def test_canonical_form_classes_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(19)
+    # Small graphs collide by chance; on seven and eight vertices, relabelled
+    # copies make the collisions.
+    graphs = [random_oriented_graph(rng, rng.randint(1, 6), rng.random()) for _ in range(400)]
+    for _ in range(60):
+        g = random_oriented_graph(rng, rng.randint(7, 8), rng.uniform(0.2, 1))
+        graphs += [g, _random_relabel(rng, g)]
+    by_form: dict[bytes, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_form.setdefault(canonical_form(g), []).append(i)
+    by_nx: list[list[int]] = []
+    for i, g in enumerate(graphs):
+        mine = _as_nx(g, nx.DiGraph)
+        for members in by_nx:
+            if nx.is_isomorphic(mine, _as_nx(graphs[members[0]], nx.DiGraph)):
+                members.append(i)
+                break
+        else:
+            by_nx.append([i])
+    assert len(by_form) == len(by_nx)
+    assert sorted(by_form.values()) == sorted(by_nx)
 
 
 def test_oriented_subgraph_budget_raises():
