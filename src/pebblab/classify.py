@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .assignment_graph import build
-from .errors import StateBudgetExceededError
+from .errors import AssignmentError, StateBudgetExceededError
 from .generate import enumerate_oriented_graphs
 from .graphs import OrientedGraph, downward_cycle
 from .iso import IsoMapping, automorphisms, canonical_labeling, digraph_isomorphic
@@ -215,7 +215,7 @@ def classify_downward_4_cycle(
     ``pebble_cap``, sink symbolic) whose state graph is isomorphic to the
     cycle, reduced modulo the cycle's order-2 symmetry."""
     if pebble_cap < 4:
-        raise ValueError(f"pebble cap must be at least 4 to be convincing, got {pebble_cap}")
+        raise AssignmentError(f"pebble cap must be at least 4 to be convincing, got {pebble_cap}")
     g = downward_cycle(4)
     hits, scanned = scan_graph_assignments(g, pebble_cap, ft_filter=None, shards=shards)
     ft_by_vec = {vec: ft for _, vec, ft in hits}

@@ -22,21 +22,19 @@ import time
 from .assignment_graph import DEFAULT_STATE_BUDGET, build
 from .classify import search_isomorphic_pairs
 from .errors import (
-    AssignmentError,
-    GraphError,
-    ParseError,
     PebblabError,
     SearchBudgetExceededError,
     StateBudgetExceededError,
     UnknownClaimError,
 )
-from .iso import DEFAULT_EXPANSION_BUDGET, digraph_isomorphic, undirected_isomorphic
+from .iso import digraph_isomorphic, undirected_isomorphic
 from .textio import format_assignment, parse_graph_text
 from .theorems import (
     BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
     HOLDS,
     HYPOTHESIS_NOT_MET,
+    claim_form,
     run_claim,
 )
 
@@ -69,7 +67,10 @@ def _state_budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("PEBBLAB_BUDGET")
-    return int(env) if env else DEFAULT_STATE_BUDGET
+    try:
+        return int(env) if env else DEFAULT_STATE_BUDGET
+    except ValueError:
+        raise PebblabError(f"PEBBLAB_BUDGET must be an integer, got {env!r}") from None
 
 
 def _read_instance(path: str):
@@ -105,56 +106,96 @@ def cmd_iso(args) -> int:
     return EXIT_OK
 
 
-def _claim_params(args) -> dict:
-    params: dict = {}
-    if args.input:
-        with open(args.input, encoding="utf-8") as fh:
+def integer_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+# Every `verify` flag: flag -> (parameter key, value type, argparse keywords).
+# `--format` and `--output` (key None) are global.  Each other flag defaults
+# to None and is passed on only when given, so the claims' own defaults
+# apply; a flag whose key the claim does not read, as that type, is an error.
+_VERIFY_FLAGS = {
+    "--input": ("input", str, {"help": "instance file for per-instance claims"}),
+    "--cap": ("cap", int, {"type": int, "help": "pebble cap for scans"}),
+    "--k": ("k", int, {"type": int, "help": "cycle length (thm-3.1)"}),
+    "--n": ("n", int, {"type": int}),
+    "--m": ("m", int, {"type": int}),
+    "--position": ("position", int, {"type": int}),
+    "--heavy": ("heavy", int, {"type": int}),
+    "--fill": ("fill", int, {"type": int}),
+    "--sink": ("sink", int, {"type": int}),
+    "--pebbles": ("pebbles", int, {"type": int}),
+    "--search-cap": ("search_cap", int, {"type": int}),
+    "--vertex-cap": ("vertex_cap", int, {"type": int}),
+    "--pebble-cap": ("pebble_cap", int, {"type": int}),
+    "--sweep": (
+        "sweep", bool, {"action": "store_true", "default": None, "help": "run the full instance sweep"}
+    ),
+    "--max-factors": ("max_factors", int, {"type": int}),
+    "--max-length": ("max_length", int, {"type": int}),
+    "--max-k": ("max_k", int, {"type": int}),
+    "--max-n": ("max_n", int, {"type": int}),
+    "--lengths": (
+        "lengths", list, {"type": integer_list, "help": "comma-separated path lengths (thm-7.1)"}
+    ),
+    "--path-pebbles": (
+        "pebbles", list, {"type": integer_list, "help": "comma-separated source counts (thm-7.1)"}
+    ),
+    "--sinks": (
+        "sinks", list, {"type": integer_list, "help": "comma-separated sink counts (thm-7.1)"}
+    ),
+    "--factor": (
+        "factors",
+        list,
+        {"action": "append", "help": "pebbled path spec like simple:n=3,src=2 (repeatable, cor-7.1)"},
+    ),
+    "--random-trees": ("random_trees", int, {"type": int}),
+    "--max-vertices": ("max_vertices", int, {"type": int}),
+    "--seed": ("seed", int, {"type": int}),
+    "--budget": ("state_budget", int, {"type": int, "help": "state budget"}),
+    "--search-budget": ("search_budget", int, {"type": int}),
+    "--shards": ("shards", int, {"type": int}),
+    "--format": (None, None, {"choices": ("json", "table"), "default": "table"}),
+    "--output": (None, None, {"help": "write the report here instead of stdout"}),
+    "--emit-graph": ("emit_graph", str, {"help": "write a constructed host graph here (thm-8.1)"}),
+}
+
+
+def _verify_params(args) -> dict:
+    """The parameters set by the `verify` flags given, checked against the
+    claim form they select: the form must read every flag given, as that
+    flag's type, and every key it needs must be given."""
+    given = {}
+    for flag, (key, _, _) in _VERIFY_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if key is not None and value is not None:
+            given[flag] = value
+    params = {_VERIFY_FLAGS[flag][0]: value for flag, value in given.items()}
+    form = claim_form(args.claim, params)
+    accepted = [
+        flag
+        for flag, (key, kind, _) in _VERIFY_FLAGS.items()
+        if (form.host if key == "emit_graph" else form.reads(key, kind))
+    ]
+    unread = [flag for flag in given if flag not in accepted]
+    if unread:
+        raise UnknownClaimError(
+            f"{args.claim} does not read {', '.join(unread)}; "
+            f"it accepts {', '.join(accepted)}, --format and --output"
+        )
+    missing = [f for f in accepted if _VERIFY_FLAGS[f][0] in form.required and f not in given]
+    if missing:
+        raise UnknownClaimError(f"{args.claim} needs {', '.join(missing)}")
+    params.pop("emit_graph", None)
+    if "input" in params:
+        with open(params["input"], encoding="utf-8") as fh:
             params["input"] = fh.read()
-    for key, value in (
-        ("cap", args.cap),
-        ("k", args.k),
-        ("n", args.n),
-        ("m", args.m),
-        ("position", args.position),
-        ("heavy", args.heavy),
-        ("fill", args.fill),
-        ("sink", args.sink),
-        ("pebbles", args.pebbles),
-        ("search_cap", args.search_cap),
-        ("vertex_cap", args.vertex_cap),
-        ("pebble_cap", args.pebble_cap),
-        ("max_factors", args.max_factors),
-        ("max_length", args.max_length),
-        ("max_k", args.max_k),
-        ("max_n", args.max_n),
-        ("random_trees", args.random_trees),
-        ("max_vertices", args.max_vertices),
-        ("seed", args.seed),
-    ):
-        if value is not None:
-            params[key] = value
-    if args.sweep:
-        params["sweep"] = True
-    if args.lengths:
-        params["lengths"] = [int(x) for x in args.lengths.split(",")]
-    if args.path_pebbles:
-        params["pebbles"] = [int(x) for x in args.path_pebbles.split(",")]
-    if args.sinks:
-        params["sinks"] = [int(x) for x in args.sinks.split(",")]
-    if args.factor:
-        params["factors"] = list(args.factor)
     return params
 
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    report, extra = run_claim(
-        args.claim,
-        _claim_params(args),
-        state_budget=_state_budget(args),
-        search_budget=args.search_budget,
-        shards=args.shards,
-    )
+    report, extra = run_claim(args.claim, _verify_params(args), state_budget=_state_budget(args))
     elapsed = time.monotonic() - started
 
     if args.format == "json":
@@ -167,7 +208,7 @@ def cmd_verify(args) -> int:
         if extra is not None and hasattr(extra, "table"):
             text += extra.table()
     _write_output(text, args.output)
-    if args.emit_graph and extra is not None and isinstance(extra, tuple):
+    if args.emit_graph and extra is not None:
         _, host_assignment = extra
         _write_output(format_assignment(host_assignment), args.emit_graph)
     print(f"{args.claim}: {report.verdict} in {elapsed:.2f}s", file=sys.stderr)
@@ -210,47 +251,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one claim checker")
     p_verify.add_argument("claim", help="claim id, e.g. thm-5.1 (see docs for the list)")
-    p_verify.add_argument("--input", help="instance file for per-instance claims")
-    p_verify.add_argument("--cap", type=int, default=None, help="pebble cap for scans")
-    p_verify.add_argument("--k", type=int, default=None, help="cycle length (thm-3.1)")
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--m", type=int, default=None)
-    p_verify.add_argument("--position", type=int, default=None)
-    p_verify.add_argument("--heavy", type=int, default=None)
-    p_verify.add_argument("--fill", type=int, default=None)
-    p_verify.add_argument("--sink", type=int, default=None)
-    p_verify.add_argument("--pebbles", type=int, default=None)
-    p_verify.add_argument("--search-cap", dest="search_cap", type=int, default=None)
-    p_verify.add_argument("--vertex-cap", dest="vertex_cap", type=int, default=None)
-    p_verify.add_argument("--pebble-cap", dest="pebble_cap", type=int, default=None)
-    p_verify.add_argument("--sweep", action="store_true", help="run the full instance sweep")
-    p_verify.add_argument("--max-factors", dest="max_factors", type=int, default=None)
-    p_verify.add_argument("--max-length", dest="max_length", type=int, default=None)
-    p_verify.add_argument("--max-k", dest="max_k", type=int, default=None)
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p_verify.add_argument("--lengths", help="comma-separated path lengths (thm-7.1)")
-    p_verify.add_argument(
-        "--path-pebbles", dest="path_pebbles", help="comma-separated source counts (thm-7.1)"
-    )
-    p_verify.add_argument("--sinks", help="comma-separated sink counts (thm-7.1)")
-    p_verify.add_argument(
-        "--factor",
-        action="append",
-        help="pebbled path spec like simple:n=3,src=2 (repeatable, cor-7.1)",
-    )
-    p_verify.add_argument("--random-trees", dest="random_trees", type=int, default=None)
-    p_verify.add_argument("--max-vertices", dest="max_vertices", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--budget", type=int, default=None, help="state budget")
-    p_verify.add_argument(
-        "--search-budget", dest="search_budget", type=int, default=DEFAULT_EXPANSION_BUDGET
-    )
-    p_verify.add_argument("--shards", type=int, default=1)
-    p_verify.add_argument("--format", choices=("json", "table"), default="table")
-    p_verify.add_argument("--output", help="write the report here instead of stdout")
-    p_verify.add_argument(
-        "--emit-graph", dest="emit_graph", help="write a constructed host graph here (thm-8.1)"
-    )
+    for flag, (_, _, keywords) in _VERIFY_FLAGS.items():
+        p_verify.add_argument(flag, **keywords)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_search = sub.add_parser("search", help="scan graphs and assignments for isomorphic pairs")
@@ -273,13 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UnknownClaimError, GraphError, AssignmentError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (StateBudgetExceededError, SearchBudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except PebblabError as exc:  # pragma: no cover - defensive
+    except (PebblabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -10,8 +10,10 @@ every verdict can be replayed.
 
 from __future__ import annotations
 
+import inspect
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, count, product
 
@@ -55,25 +57,6 @@ HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 BUDGET_EXCEEDED = "budget-exceeded"
-
-CLAIM_IDS = (
-    "prop-1.1",
-    "cor-1.1",
-    "cor-1.2",
-    "thm-2.1",
-    "thm-2.2",
-    "cor-2.1",
-    "thm-3.1",
-    "thm-4.1",
-    "thm-5.1",
-    "sec-6",
-    "thm-7.1",
-    "lem-7.1",
-    "lem-7.2",
-    "cor-7.1",
-    "thm-7.2",
-    "thm-8.1",
-)
 
 DOWNWARD_4_CYCLE_FAMILIES = frozenset(
     {(0, 2, 2), (1, 2, 2), (0, 2, 3), (1, 2, 3), (0, 3, 3), (1, 3, 3)}
@@ -128,18 +111,24 @@ def _describe(a: Assignment) -> str:
     return f"{len(g.vertices)}v/{len(g.edges)}e graph with pebbles {counts}"
 
 
-def _budget_report(claim: str, a: Assignment, budget: int) -> VerificationReport:
-    return _instance_report(claim, a, BUDGET_EXCEEDED, stats={"state_budget": budget})
+def _budget_report(
+    claim: str, a: Assignment, budget: int, params: dict | None = None
+) -> VerificationReport:
+    return _instance_report(claim, a, BUDGET_EXCEEDED, params, stats={"state_budget": budget})
 
 
-def _instance_report(claim: str, a: Assignment, verdict: str, **kwargs) -> VerificationReport:
+def _instance_report(
+    claim: str, a: Assignment, verdict: str, params: dict | None = None, **kwargs
+) -> VerificationReport:
+    """A report on one instance; its replay parameters default to the
+    instance text."""
     text = format_assignment(a)
     return VerificationReport(
         claim,
         _describe(a),
         verdict,
         instance_text=text,
-        params={"input": text},
+        params=params or {"input": text},
         **kwargs,
     )
 
@@ -364,25 +353,19 @@ def verify_thm_3_1(
     g = downward_cycle(k)
     hits, scanned = scan_graph_assignments(g, pebble_cap, ft_filter=None, shards=shards)
     stats = {"k": k, "pebble_cap": pebble_cap, "scanned": scanned, "isomorphic_found": len(hits)}
-    if hits:
-        counts = hits[0][1]
-        a = Assignment(g, counts)
-        return VerificationReport(
-            "thm-3.1",
-            f"downward {k}-cycle, counts up to {pebble_cap}",
-            COUNTEREXAMPLE,
-            witness={"assignment": a.as_dict()},
-            stats=stats,
-            instance_text=format_assignment(a),
-            params={"k": k, "cap": pebble_cap},
-        )
-    return VerificationReport(
+    report = VerificationReport(
         "thm-3.1",
         f"downward {k}-cycle, counts up to {pebble_cap}",
         HOLDS,
         stats=stats,
         params={"k": k, "cap": pebble_cap},
     )
+    if hits:
+        a = Assignment(g, hits[0][1])
+        report.verdict = COUNTEREXAMPLE
+        report.witness = {"assignment": a.as_dict()}
+        report.instance_text = format_assignment(a)
+    return report
 
 
 def verify_thm_4_1(
@@ -565,6 +548,11 @@ def verify_thm_7_1(
     """A product of paths with a simple pebbling is isomorphic to its state
     graph."""
     sinks = sink_pebbles or [0] * len(lengths)
+    if not len(lengths) == len(source_pebbles) == len(sinks):
+        raise GraphError(
+            f"{len(lengths)} lengths, {len(source_pebbles)} source counts and "
+            f"{len(sinks)} sink counts: one of each per factor"
+        )
     factors = []
     for n, sp, sk in zip(lengths, source_pebbles, sinks):
         path = oriented_path(n)
@@ -611,21 +599,18 @@ def verify_lemma_7_1(
     path = oriented_path(n)
     a = near_sink_assignment(path, k, sink_pebbles, fill)
     if n != k // 2 + 1:
-        report = _instance_report(
-            "lem-7.1", a, HYPOTHESIS_NOT_MET, stats={"required_length": k // 2 + 1}
+        return _instance_report(
+            "lem-7.1", a, HYPOTHESIS_NOT_MET, params, stats={"required_length": k // 2 + 1}
         )
-        report.params = params
-        return report
     iso = state_graph_isomorphism(path, a)
-    report = _instance_report(
+    return _instance_report(
         "lem-7.1",
         a,
         HOLDS if iso is not None else COUNTEREXAMPLE,
+        params,
         stats={"n": n, "k": k},
         witness=iso.to_json_obj() if iso else None,
     )
-    report.params = params
-    return report
 
 
 def verify_lemma_7_1_sweep(max_k: int = 8) -> VerificationReport:
@@ -663,25 +648,25 @@ def verify_lemma_7_2(
     }
     path = oriented_path(n)
     a = heavy_step_assignment(path, position, heavy, sink_pebbles, fill)
-    ag = build(path, a, state_budget)
+    try:
+        ag = build(path, a, state_budget)
+    except StateBudgetExceededError:
+        return _budget_report("lem-7.2", a, state_budget, params)
     traversed = sum(1 for c in ag.traversal_counts().values() if c >= 1)
     stats = {"n": n, "position": position, "heavy": heavy, "traversed_edges": traversed}
     if traversed != n - 2:
-        report = _instance_report("lem-7.2", a, HYPOTHESIS_NOT_MET, stats=stats)
-        report.params = params
-        return report
+        return _instance_report("lem-7.2", a, HYPOTHESIS_NOT_MET, params, stats=stats)
     iso = None
     if len(ag.states) == n and len(ag.edges) == n - 1:
         iso = digraph_isomorphic(path, ag.as_oriented_graph())
-    report = _instance_report(
+    return _instance_report(
         "lem-7.2",
         a,
         HOLDS if iso is not None else COUNTEREXAMPLE,
+        params,
         stats=stats,
         witness=iso.to_json_obj() if iso else None,
     )
-    report.params = params
-    return report
 
 
 def verify_lemma_7_2_sweep(max_n: int = 6) -> VerificationReport:
@@ -752,14 +737,16 @@ def verify_thm_7_2(
     finding is reported as budget-exceeded, not as a refutation.
     """
     params = {"n": n, "m": m, "pebbles": source_pebbles, "search_cap": search_cap}
+
+    def report(verdict: str, what: str = " inside its own state graph", **kwargs):
+        return VerificationReport("thm-7.2", f"K({n},{m}){what}", verdict, params=params, **kwargs)
+
     k_graph = oriented_complete_bipartite(n, m)
     a_k = Assignment(k_graph, {f"a{i}": source_pebbles for i in range(1, n + 1)})
     try:
         ag = build(k_graph, a_k, state_budget)
     except StateBudgetExceededError:
-        return VerificationReport(
-            "thm-7.2", f"K({n},{m})", BUDGET_EXCEEDED, stats={"state_budget": state_budget}, params=params
-        )
+        return report(BUDGET_EXCEEDED, "", stats={"state_budget": state_budget})
     g = ag.as_oriented_graph()
     stats = {"construction_vertices": len(g.vertices), "construction_edges": len(g.edges)}
     try:
@@ -767,28 +754,17 @@ def verify_thm_7_2(
     except SearchBudgetExceededError:
         stats["expansion_budget"] = DEFAULT_EXPANSION_BUDGET
         notes = ("the oriented-subgraph search hit its expansion budget",)
-        return VerificationReport(
-            "thm-7.2", f"K({n},{m}) inside its own state graph", BUDGET_EXCEEDED,
-            stats=stats, notes=notes, params=params,
-        )
+        return report(BUDGET_EXCEEDED, stats=stats, notes=notes)
     if submap is None:
-        return VerificationReport(
-            "thm-7.2",
-            f"K({n},{m}) inside its own state graph",
-            COUNTEREXAMPLE,
-            stats=stats,
-            notes=("the bipartite pattern does not occur as an oriented subgraph",),
-            params=params,
-        )
+        notes = ("the bipartite pattern does not occur as an oriented subgraph",)
+        return report(COUNTEREXAMPLE, stats=stats, notes=notes)
     non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
     scanned = 0
     for _, vec in iter_count_vectors(len(non_sink), search_cap):
         scanned += 1
         if scanned > scan_budget:
             stats["assignments_scanned"] = scanned - 1
-            return VerificationReport(
-                "thm-7.2", f"K({n},{m}) construction", BUDGET_EXCEEDED, stats=stats, params=params
-            )
+            return report(BUDGET_EXCEEDED, " construction", stats=stats)
         counts = [0] * len(g.vertices)
         for pos, c in zip(non_sink, vec):
             counts[pos] = c
@@ -796,28 +772,15 @@ def verify_thm_7_2(
         iso = state_graph_isomorphism(g, candidate)
         if iso is not None:
             stats["assignments_scanned"] = scanned
-            return VerificationReport(
-                "thm-7.2",
-                f"K({n},{m}) inside its own state graph",
-                HOLDS,
-                witness={
-                    "subgraph": submap.mapping,
-                    "assignment": candidate.as_dict(),
-                    "isomorphism": iso.to_json_obj()["map"],
-                },
-                stats=stats,
-                instance_text=format_assignment(candidate),
-                params=params,
-            )
+            witness = {
+                "subgraph": submap.mapping,
+                "assignment": candidate.as_dict(),
+                "isomorphism": iso.to_json_obj()["map"],
+            }
+            return report(HOLDS, witness=witness, stats=stats, instance_text=format_assignment(candidate))
     stats["assignments_scanned"] = scanned
-    return VerificationReport(
-        "thm-7.2",
-        f"K({n},{m}) inside its own state graph",
-        BUDGET_EXCEEDED,
-        stats=stats,
-        notes=(f"no isomorphic assignment with counts up to {search_cap}; absence beyond the cap unproven",),
-        params=params,
-    )
+    notes = (f"no isomorphic assignment with counts up to {search_cap}; absence beyond the cap unproven",)
+    return report(BUDGET_EXCEEDED, stats=stats, notes=notes)
 
 
 # -- section 8: undirected isomorphism ----------------------------------------
@@ -908,6 +871,143 @@ def parse_path_spec(spec: str) -> tuple[OrientedGraph, Assignment]:
     raise GraphError(f"unknown path spec kind {kind!r}")
 
 
+def _thm_5_1_on_instance(input: str, state_budget: int) -> VerificationReport:
+    """thm-5.1 on an instance text, gated on the instance being a downward
+    tree with the theorem's assignment."""
+    g, a = parse_graph_text(input)
+    root = g.is_downward_tree()
+    if root is None:
+        reason = "not a downward directed rooted tree"
+    elif a[root] not in (2, 3):
+        reason = f"root holds {a[root]} pebbles, needs 2 or 3"
+    else:
+        bad = [v for v in g.vertices if v != root and g.valence(v) >= 1 and a[v] != 1]
+        if not bad:
+            leaves = {v: a[v] for v in g.sinks() if v != root}
+            return verify_thm_5_1(g, a[root], leaves, state_budget)
+        reason = f"non-root vertex {bad[0]!r} with outgoing edges holds {a[bad[0]]} pebbles, needs 1"
+    return _instance_report("thm-5.1", a, HYPOTHESIS_NOT_MET, stats={"reason": reason})
+
+
+def _thm_8_1_on_instance(input: str, state_budget: int, search_budget: int):
+    g, a = parse_graph_text(input)
+    try:
+        host, host_assignment, report = construct_thm_8_1(g, a, state_budget, search_budget)
+    except EmbeddingNotFoundError as exc:
+        return _instance_report("thm-8.1", a, HYPOTHESIS_NOT_MET, stats={"reason": str(exc)})
+    except StateBudgetExceededError:
+        return _budget_report("thm-8.1", a, state_budget)
+    return report, (host, host_assignment)
+
+
+# The type each claim parameter's value must have; parameters not listed
+# here (counts, caps, budgets) are ints.
+_KEY_TYPES = {
+    "input": str, "sweep": bool, "lengths": list, "sinks": list, "factors": list, "fill": (int, dict)
+}
+_BUDGET_KEYS = ("state_budget", "search_budget", "shards")
+
+
+class ClaimForm:
+    """One way to run a claim: ``run`` takes the parameters as keywords and
+    returns a report or ``(report, extra)``.  Its signature is the schema:
+    ``keys`` maps each parameter it names (budgets and shards included) to
+    the type its value must have, and ``required`` lists those without a
+    default that `run_claim` does not supply.  ``host`` marks the form
+    whose extra is a host graph and its assignment."""
+
+    def __init__(self, run: Callable, types: dict | None = None, host: bool = False):
+        names = inspect.signature(run).parameters.values()
+        types = {**_KEY_TYPES, **(types or {})}
+        self.run, self.host = run, host
+        self.keys = {p.name: types.get(p.name, int) for p in names}
+        self.required = tuple(
+            p.name for p in names if p.default is p.empty and p.name not in _BUDGET_KEYS
+        )
+
+    def reads(self, key: str, kind: type) -> bool:
+        """Does this form read ``key`` with values of type ``kind``?"""
+        return key in self.keys and issubclass(kind, self.keys[key])
+
+
+def _on_instance(check: Callable) -> tuple[ClaimForm]:
+    return (ClaimForm(lambda input, state_budget: check(*parse_graph_text(input), state_budget)),)
+
+
+# Claim id -> its forms.  A form other than the last is taken when its first
+# required key is given (a sweep or a seeded batch); the last is the default.
+# Checkers are named inside lambdas, so they are looked up at call time.
+CLAIMS: dict[str, tuple[ClaimForm, ...]] = {
+    "prop-1.1": _on_instance(lambda *args: verify_prop_1_1(*args)),
+    "cor-1.1": _on_instance(lambda *args: verify_cor_1_1(*args)),
+    "cor-1.2": _on_instance(lambda *args: verify_cor_1_2(*args)),
+    "thm-2.1": _on_instance(lambda *args: check_thm_2_1(*args)),
+    "thm-2.2": _on_instance(lambda *args: verify_thm_2_2(*args)),
+    "cor-2.1": (ClaimForm(lambda shards, cap=6: verify_cor_2_1(cap, shards=shards)),),
+    "thm-3.1": (ClaimForm(lambda k, shards, cap=4: verify_thm_3_1(k, cap, shards=shards)),),
+    "thm-4.1": _on_instance(lambda *args: verify_thm_4_1(*args)),
+    "thm-5.1": (
+        ClaimForm(
+            lambda random_trees, state_budget, max_vertices=12, seed=0: verify_thm_5_1_batch(
+                random_trees, max_vertices, seed, state_budget=state_budget
+            )
+        ),
+        ClaimForm(_thm_5_1_on_instance),
+    ),
+    "sec-6": (
+        ClaimForm(
+            lambda shards, vertex_cap=4, pebble_cap=4: verify_sec_6(
+                vertex_cap, pebble_cap, shards=shards
+            )
+        ),
+    ),
+    "thm-7.1": (
+        ClaimForm(
+            lambda sweep, max_factors=3, max_length=4: verify_thm_7_1_sweep(max_factors, max_length)
+        ),
+        ClaimForm(
+            lambda lengths, pebbles, sinks=None: verify_thm_7_1(lengths, pebbles, sinks),
+            types={"pebbles": list},
+        ),
+    ),
+    "lem-7.1": (
+        ClaimForm(lambda sweep, max_k=8: verify_lemma_7_1_sweep(max_k)),
+        ClaimForm(lambda n, k, sink=0, fill=1: verify_lemma_7_1(n, k, sink, fill)),
+    ),
+    "lem-7.2": (
+        ClaimForm(lambda sweep, max_n=6: verify_lemma_7_2_sweep(max_n)),
+        ClaimForm(
+            lambda n, position, heavy, state_budget, sink=0, fill=0: verify_lemma_7_2(
+                n, position, heavy, sink, fill, state_budget
+            )
+        ),
+    ),
+    "cor-7.1": (
+        ClaimForm(
+            lambda factors: verify_cor_7_1([parse_path_spec(spec) for spec in factors], factors)
+        ),
+    ),
+    "thm-7.2": (
+        ClaimForm(
+            lambda n, m, state_budget, search_budget, pebbles=2, search_cap=4: verify_thm_7_2(
+                n, m, pebbles, search_cap, state_budget, search_budget
+            )
+        ),
+    ),
+    "thm-8.1": (ClaimForm(_thm_8_1_on_instance, host=True),),
+}
+
+CLAIM_IDS = tuple(CLAIMS)
+
+
+def claim_form(claim: str, params: dict) -> ClaimForm:
+    """The form of ``claim`` that ``params`` selects."""
+    if claim not in CLAIMS:
+        raise UnknownClaimError(f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_IDS)}")
+    *selectable, default = CLAIMS[claim]
+    return next((form for form in selectable if form.required[0] in params), default)
+
+
 def run_claim(
     claim: str,
     params: dict,
@@ -918,131 +1018,26 @@ def run_claim(
     """Run one claim checker from JSON-able parameters.
 
     Returns the report plus an optional extra artifact (a classification
-    result, or the constructed host graph and assignment).
+    result, or the constructed host graph and assignment).  The budgets and
+    shard count go to the claims that read them, unless ``params`` sets them.
+    Raises UnknownClaimError for an unknown claim or a parameter that its
+    form needs and lacks, does not read, or reads as another type.
     """
-    if claim not in CLAIM_IDS:
-        raise UnknownClaimError(
-            f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_IDS)}"
-        )
-
-    def instance() -> tuple[OrientedGraph, Assignment]:
-        if "input" not in params:
-            raise UnknownClaimError(f"claim {claim!r} needs an instance file")
-        return parse_graph_text(params["input"])
-
-    if claim == "prop-1.1":
-        return verify_prop_1_1(*instance(), state_budget), None
-    if claim == "cor-1.1":
-        return verify_cor_1_1(*instance(), state_budget), None
-    if claim == "cor-1.2":
-        return verify_cor_1_2(*instance(), state_budget), None
-    if claim == "thm-2.1":
-        return check_thm_2_1(*instance(), state_budget), None
-    if claim == "thm-2.2":
-        return verify_thm_2_2(*instance(), state_budget), None
-    if claim == "cor-2.1":
-        report, result = verify_cor_2_1(params.get("cap", 6), shards=shards)
-        return report, result
-    if claim == "thm-3.1":
-        return verify_thm_3_1(params["k"], params.get("cap", 4), shards=shards), None
-    if claim == "thm-4.1":
-        return verify_thm_4_1(*instance(), state_budget), None
-    if claim == "thm-5.1":
-        if "random_trees" in params:
-            return (
-                verify_thm_5_1_batch(
-                    params["random_trees"],
-                    params.get("max_vertices", 12),
-                    params.get("seed", 0),
-                    state_budget=state_budget,
-                ),
-                None,
+    form = claim_form(claim, params)
+    budgets = zip(_BUDGET_KEYS, (state_budget, search_budget, shards))
+    kwargs = {key: value for key, value in budgets if key in form.keys}
+    kwargs.update(params)
+    for key, value in kwargs.items():
+        if not isinstance(value, form.keys.get(key, ())):
+            raise UnknownClaimError(
+                f"claim {claim!r} does not read {key!r} as {type(value).__name__}; "
+                f"it reads {', '.join(form.keys)}"
             )
-        g, a = instance()
-        decomposed = _tree_instance(g, a)
-        if isinstance(decomposed, str):
-            return (
-                _instance_report("thm-5.1", a, HYPOTHESIS_NOT_MET, stats={"reason": decomposed}),
-                None,
-            )
-        root_pebbles, leaves = decomposed
-        return verify_thm_5_1(g, root_pebbles, leaves, state_budget), None
-    if claim == "sec-6":
-        report, result = verify_sec_6(
-            params.get("vertex_cap", 4), params.get("pebble_cap", 4), shards=shards
-        )
-        return report, result
-    if claim == "thm-7.1":
-        if params.get("sweep"):
-            return (
-                verify_thm_7_1_sweep(params.get("max_factors", 3), params.get("max_length", 4)),
-                None,
-            )
-        return (
-            verify_thm_7_1(params["lengths"], params["pebbles"], params.get("sinks")),
-            None,
-        )
-    if claim == "lem-7.1":
-        if params.get("sweep"):
-            return verify_lemma_7_1_sweep(params.get("max_k", 8)), None
-        return (
-            verify_lemma_7_1(params["n"], params["k"], params.get("sink", 0), params.get("fill", 1)),
-            None,
-        )
-    if claim == "lem-7.2":
-        if params.get("sweep"):
-            return verify_lemma_7_2_sweep(params.get("max_n", 6)), None
-        return (
-            verify_lemma_7_2(
-                params["n"],
-                params["position"],
-                params["heavy"],
-                params.get("sink", 0),
-                params.get("fill", 0),
-                state_budget,
-            ),
-            None,
-        )
-    if claim == "cor-7.1":
-        specs = params["factors"]
-        factors = [parse_path_spec(spec) for spec in specs]
-        return verify_cor_7_1(factors, specs), None
-    if claim == "thm-7.2":
-        return (
-            verify_thm_7_2(
-                params["n"],
-                params["m"],
-                params.get("pebbles", 2),
-                params.get("search_cap", 4),
-                state_budget,
-                search_budget,
-            ),
-            None,
-        )
-    if claim == "thm-8.1":
-        g, a = instance()
-        try:
-            host, host_assignment, report = construct_thm_8_1(g, a, state_budget, search_budget)
-        except EmbeddingNotFoundError as exc:
-            return (
-                _instance_report("thm-8.1", a, HYPOTHESIS_NOT_MET, stats={"reason": str(exc)}),
-                None,
-            )
-        return report, (host, host_assignment)
-    raise UnknownClaimError(f"claim {claim!r} has no runner")  # pragma: no cover
-
-
-def _tree_instance(g: OrientedGraph, a: Assignment) -> tuple[int, dict[str, int]] | str:
-    root = g.is_downward_tree()
-    if root is None:
-        return "not a downward directed rooted tree"
-    if a[root] not in (2, 3):
-        return f"root holds {a[root]} pebbles, needs 2 or 3"
-    for v in g.vertices:
-        if v != root and g.valence(v) >= 1 and a[v] != 1:
-            return f"non-root vertex {v!r} with outgoing edges holds {a[v]} pebbles, needs 1"
-    leaves = {v: a[v] for v in g.sinks() if v != root}
-    return a[root], leaves
+    missing = [key for key in form.required if key not in kwargs]
+    if missing:
+        raise UnknownClaimError(f"claim {claim!r} needs {', '.join(missing)}")
+    out = form.run(**kwargs)
+    return out if isinstance(out, tuple) else (out, None)
 
 
 def replay(report: VerificationReport, **kwargs) -> VerificationReport:

@@ -176,3 +176,104 @@ def test_outputs_are_deterministic(tmp_path, capsys, instance_file):
         dots.append(dot.read_bytes())
     capsys.readouterr()
     assert dots[0] == dots[1]
+
+
+def _exit_code(argv: list[str]) -> int:
+    """`main`'s exit code, including argparse's own usage errors."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "thm-3.1"], "needs --k"),
+        (["verify", "thm-7.1"], "needs --lengths, --path-pebbles"),
+        (["verify", "lem-7.1"], "needs --k, --n"),
+        (["verify", "lem-7.2"], "needs --n, --position, --heavy"),
+        (["verify", "thm-7.2", "--n", "2"], "needs --m"),
+        (["verify", "cor-7.1"], "needs --factor"),
+        (["verify", "thm-5.1"], "needs --input"),
+        (["verify", "cor-2.1", "--cap", "3"], "pebble cap must be at least 4"),
+        (["verify", "thm-7.1", "--lengths", "2,x", "--path-pebbles", "2,3"], "'2,x'"),
+        (
+            ["verify", "thm-3.1", "--k", "6", "--pebble-cap", "5"],
+            "does not read --pebble-cap; it accepts --cap, --k, --shards, --format and --output",
+        ),
+        (["verify", "sec-6", "--cap", "2"], "does not read --cap"),
+        (["verify", "sec-6", "--budget", "5"], "does not read --budget"),
+        (["verify", "cor-2.1", "--search-budget", "5"], "does not read --search-budget"),
+        (["verify", "thm-7.1", "--sweep", "--shards", "2"], "does not read --shards"),
+        (["verify", "thm-3.1", "--k", "6", "--emit-graph", "x"], "does not read --emit-graph"),
+        (["verify", "thm-7.1", "--lengths", "2", "--pebbles", "2"], "does not read --pebbles"),
+        (["verify", "thm-7.2", "--n", "2", "--m", "1", "--sweep"], "does not read --sweep"),
+        (["verify", "thm-7.1", "--lengths", "2,3", "--path-pebbles", "2"], "one of each per factor"),
+    ],
+)
+def test_verify_usage_errors_exit_2(capsys, argv, message):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_bad_budget_environment_is_a_usage_error(capsys, instance_file, monkeypatch):
+    monkeypatch.setenv("PEBBLAB_BUDGET", "abc")
+    assert main(["build", instance_file]) == 2
+    assert "PEBBLAB_BUDGET" in capsys.readouterr().err
+
+
+# A valid invocation of every claim form; forms that read the state budget
+# must print a budget-exceeded report at --budget 1.
+FORM_INVOCATIONS = [
+    ["thm-3.1", "--k", "6", "--cap", "2"],
+    ["cor-2.1", "--cap", "4"],
+    ["thm-5.1", "--random-trees", "3", "--max-vertices", "6"],
+    ["sec-6", "--vertex-cap", "2", "--pebble-cap", "2"],
+    ["thm-7.1", "--sweep", "--max-factors", "1", "--max-length", "2"],
+    ["thm-7.1", "--lengths", "2", "--path-pebbles", "2"],
+    ["lem-7.1", "--sweep", "--max-k", "3"],
+    ["lem-7.1", "--n", "3", "--k", "4"],
+    ["lem-7.2", "--sweep", "--max-n", "3"],
+    ["lem-7.2", "--n", "4", "--position", "1", "--heavy", "4", "--fill", "0"],
+    ["cor-7.1", "--factor", "simple:n=2,src=2"],
+    ["thm-7.2", "--n", "2", "--m", "1"],
+]
+
+
+def test_every_claim_that_reads_budget_reports_budget_exceeded(tmp_path, capsys, instance_file):
+    from pebblab.cli import _parser, _verify_params
+    from pebblab.theorems import CLAIM_IDS, CLAIMS, claim_form
+
+    tree = tmp_path / "tree.txt"
+    tree.write_text(TREE_SIMPLE)
+    instances = [
+        [claim, "--input", str(tree) if claim == "thm-5.1" else instance_file]
+        for claim in CLAIM_IDS
+        if CLAIMS[claim][-1].reads("input", str)
+    ]
+    forms = {}
+    for argv in FORM_INVOCATIONS + instances:
+        params = _verify_params(_parser().parse_args(["verify", *argv]))
+        forms.setdefault(claim_form(argv[0], params), argv)
+    assert set(forms) == {form for claim_forms in CLAIMS.values() for form in claim_forms}
+    budgeted = [argv for form, argv in forms.items() if "state_budget" in form.keys]
+    assert len(budgeted) == 11
+    for argv in budgeted:
+        assert main(["verify", *argv, "--budget", "1", "--format", "json"]) == 3, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "budget-exceeded", argv
+        assert payload["stats"]["state_budget"] == 1, argv
+
+
+def test_readme_claim_table_follows_the_registry():
+    from pathlib import Path
+
+    from pebblab import CLAIM_IDS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Claim ids", 1)[1].split("\n#", 1)[0]
+    ids = tuple(line.split("`")[1] for line in section.splitlines() if line.startswith("| `"))
+    assert ids == CLAIM_IDS

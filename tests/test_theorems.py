@@ -15,6 +15,7 @@ from pebblab import (
     classify_downward_4_cycle,
     construct_thm_8_1,
     downward_cycle,
+    format_assignment,
     new_graph,
     oriented_complete_bipartite,
     oriented_path,
@@ -47,9 +48,17 @@ from pebblab.generate import enumerate_oriented_graphs, random_assignment, rando
 from pebblab.pebbling import near_sink_assignment
 from pebblab.theorems import (
     BUDGET_EXCEEDED,
+    CLAIM_IDS,
+    CLAIMS,
     COUNTEREXAMPLE,
     HOLDS,
     HYPOTHESIS_NOT_MET,
+    claim_form,
+    parse_path_spec,
+    verify_lemma_7_1_sweep,
+    verify_lemma_7_2_sweep,
+    verify_thm_5_1_batch,
+    verify_thm_7_1_sweep,
 )
 from conftest import corpus_instances, star_tree
 from oracles import ReferenceAssignmentGraph, reference_build, reference_thm_2_1
@@ -508,17 +517,101 @@ def test_run_claim_thm_8_1_embedding_gate():
 
 
 def test_replay_reproduces_verdicts():
+    # one report per form of every registered claim, each replayed from its
+    # own params to the same JSON
     star = star_tree(2)
+    c4 = downward_cycle(4)
+    top4 = Assignment(c4, {"top": 4})
+    specs = ["nearsink:n=3,k=4", "simple:n=2,src=2"]
     reports = [
-        verify_cor_1_1(star, tree_assignment(star, 2, {"leaf1": 9})),
         verify_prop_1_1(star, tree_assignment(star, 2)),
+        verify_cor_1_1(star, tree_assignment(star, 2, {"leaf1": 9})),
+        verify_cor_1_2(c4, Assignment(c4, {"l1": 2, "r1": 2})),
+        check_thm_2_1(c4, top4),
+        verify_thm_2_2(c4, top4),
+        verify_cor_2_1(4)[0],
         verify_thm_3_1(6, 3),
-        verify_lemma_7_1(3, 4),
+        verify_thm_4_1(c4, top4),
+        verify_thm_5_1(star, 3, {"leaf1": 5}),
+        verify_thm_5_1_batch(5, 6, 3),
+        verify_sec_6(3, 3)[0],
+        verify_thm_7_1([2, 3], [2, 3], [1, 0]),
+        verify_thm_7_1_sweep(2, 3),
+        verify_lemma_7_1(3, 4, fill={"a1": 0}),
+        verify_lemma_7_1_sweep(5),
         verify_lemma_7_2(4, 1, 4, fill=0),
+        verify_lemma_7_2_sweep(4),
+        verify_cor_7_1([parse_path_spec(spec) for spec in specs], specs),
         verify_thm_7_2(2, 1),
+        construct_thm_8_1(c4, top4)[2],
     ]
+    forms = {form for claim_forms in CLAIMS.values() for form in claim_forms}
+    assert {claim_form(r.claim, r.params) for r in reports} == forms
     for report in reports:
-        assert replay(report).verdict == report.verdict, report.claim
+        assert replay(report).to_json_obj() == report.to_json_obj(), report.claim
+
+
+def test_claim_ids_follow_the_registry():
+    assert CLAIM_IDS == tuple(CLAIMS)
+    assert len(CLAIM_IDS) == 16
+    thm_7_2 = claim_form("thm-7.2", {})
+    assert thm_7_2.required == ("n", "m")
+    assert set(thm_7_2.keys) == {"n", "m", "pebbles", "search_cap", "state_budget", "search_budget"}
+    assert thm_7_2.reads("pebbles", int) and not thm_7_2.reads("pebbles", list)
+    assert claim_form("thm-7.1", {}).reads("pebbles", list)
+    assert claim_form("thm-7.1", {"sweep": True}).required == ("sweep",)
+    assert claim_form("thm-5.1", {"random_trees": 3}).required == ("random_trees",)
+    assert claim_form("thm-5.1", {}).required == ("input",)
+
+
+@pytest.mark.parametrize(
+    "claim, params, named",
+    [
+        ("thm-3.1", {}, "needs k"),
+        ("thm-7.1", {"lengths": [2]}, "needs pebbles"),
+        ("lem-7.2", {"n": 4}, "needs position, heavy"),
+        ("prop-1.1", {}, "needs input"),
+        ("thm-3.1", {"k": 6, "pebble_cap": 5}, "does not read 'pebble_cap'"),
+        ("sec-6", {"cap": 2}, "does not read 'cap'"),
+        ("thm-7.1", {"lengths": [2], "pebbles": 2}, "does not read 'pebbles' as int"),
+        ("thm-7.1", {"sweep": True, "lengths": [2]}, "does not read 'lengths'"),
+    ],
+)
+def test_run_claim_rejects_missing_and_unread_params(claim, params, named):
+    with pytest.raises(UnknownClaimError) as err:
+        run_claim(claim, params)
+    assert named in str(err.value)
+
+
+def test_run_claim_passes_budgets_only_to_claims_that_read_them():
+    report, _ = run_claim("thm-3.1", {"k": 6, "cap": 2}, state_budget=1, search_budget=1)
+    assert report.verdict == HOLDS
+    c4 = downward_cycle(4)
+    text = format_assignment(Assignment(c4, {"top": 4}))
+    report, _ = run_claim("thm-2.1", {"input": text}, state_budget=3)
+    assert report.verdict == BUDGET_EXCEEDED
+    report, _ = run_claim("thm-2.1", {"input": text, "state_budget": 3})
+    assert report.verdict == BUDGET_EXCEEDED
+
+
+def test_thm_7_1_rejects_lists_of_different_lengths():
+    with pytest.raises(GraphError):
+        verify_thm_7_1([2, 3], [2])
+    with pytest.raises(GraphError):
+        verify_thm_7_1([2], [2], [0, 0])
+    assert verify_thm_7_1([2, 3], [2, 2]).params["sinks"] == [0, 0]
+
+
+def test_budget_reports_from_lemma_7_2_and_thm_8_1():
+    report = verify_lemma_7_2(4, 1, 4, fill=0, state_budget=1)
+    assert report.verdict == BUDGET_EXCEEDED
+    assert report.stats == {"state_budget": 1}
+    assert replay(report, state_budget=1).to_json_obj() == report.to_json_obj()
+    c4 = downward_cycle(4)
+    report, extra = run_claim(
+        "thm-8.1", {"input": format_assignment(Assignment(c4, {"top": 4}))}, state_budget=1
+    )
+    assert (report.verdict, report.stats, extra) == (BUDGET_EXCEEDED, {"state_budget": 1}, None)
 
 
 def test_canonical_pair_key_relabel_invariance():
