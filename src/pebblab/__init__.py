@@ -6,20 +6,19 @@ from .assignment_graph import (
     build,
     find_downward_4_cycle,
     is_fully_traversable,
-    traversal_counts,
 )
 from .classify import (
     ClassificationResult,
     ClassifiedPair,
     canonical_pair_key,
     classify_downward_4_cycle,
-    classify_fully_traversable,
     search_isomorphic_pairs,
     state_graph_isomorphism,
 )
 from .errors import (
     AssignmentError,
     BidirectionalEdgeError,
+    BudgetExceededError,
     DuplicateVertexError,
     EmbeddingNotFoundError,
     GraphError,

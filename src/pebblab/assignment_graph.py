@@ -286,9 +286,6 @@ class AssignmentGraph:
         """Pebble vector in vertex order, e.g. ``"2,1,0"``."""
         return ",".join(map(str, self._layout.unpack(self._packed[state_id])))
 
-    def move_label(self, edge_index: int) -> tuple[str, str]:
-        return self.graph.edges[edge_index]
-
     def labeled_edges(self) -> tuple[tuple[int, int, tuple[str, str]], ...]:
         return tuple((f, t, self.graph.edges[e]) for f, t, e in self.edges)
 
@@ -390,10 +387,6 @@ def build(
         levels.append(end)
         begin = end
     return AssignmentGraph(layout, packed, levels, offsets, targets, labels)
-
-
-def traversal_counts(ag: AssignmentGraph) -> dict[tuple[str, str], int]:
-    return ag.traversal_counts()
 
 
 def is_fully_traversable(

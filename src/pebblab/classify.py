@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice, product
 from typing import Iterator
 
 from .assignment_graph import build
@@ -52,17 +53,26 @@ def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | Non
 def iter_count_vectors(
     length: int, cap: int, shard: int = 0, shards: int = 1
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (index, vector) over all count vectors in [0, cap]^length,
-    striding by ``shards`` starting at ``shard``."""
-    base = cap + 1
-    total = base**length
-    for idx in range(shard, total, shards):
-        x = idx
-        vec = []
-        for _ in range(length):
-            vec.append(x % base)
-            x //= base
-        yield idx, tuple(vec)
+    """(index, vector) over all count vectors in [0, cap]^length, striding
+    by ``shards`` starting at ``shard``.  The index is the vector read as a
+    base-(cap+1) number whose first entry is the lowest digit."""
+    if cap < 0:
+        raise AssignmentError(f"pebble cap must be non-negative, got {cap}")
+    numbered = islice(enumerate(product(range(cap + 1), repeat=length)), shard, None, shards)
+    return ((idx, digits[::-1]) for idx, digits in numbered)
+
+
+def iter_assignments(
+    g: OrientedGraph, cap: int, shard: int = 0, shards: int = 1
+) -> Iterator[tuple[int, Assignment]]:
+    """(index, assignment) with the `iter_count_vectors` entries on the
+    non-sink vertices, in vertex order, and zero on every sink."""
+    non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
+    counts = [0] * len(g.vertices)
+    for idx, vec in iter_count_vectors(len(non_sink), cap, shard, shards):
+        for pos, c in zip(non_sink, vec):
+            counts[pos] = c
+        yield idx, Assignment(g, counts)
 
 
 def _scan_one_graph(
@@ -75,20 +85,15 @@ def _scan_one_graph(
     """Hits are (index, full count vector, fully_traversable) for every
     assignment whose state graph is isomorphic to the graph."""
     n = len(g.vertices)
-    non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
     hits: list[tuple[int, tuple[int, ...], bool]] = []
     scanned = 0
-    for idx, vec in iter_count_vectors(len(non_sink), pebble_cap, shard, shards):
+    for idx, a in iter_assignments(g, pebble_cap, shard, shards):
         scanned += 1
-        counts = [0] * n
-        for pos, c in zip(non_sink, vec):
-            counts[pos] = c
-        a = Assignment(g, counts)
         if state_graph_isomorphism(g, a) is None:
             continue
         ft = build(g, a, state_budget=n).is_fully_traversable()
         if ft_filter is None or ft == ft_filter:
-            hits.append((idx, tuple(counts), ft))
+            hits.append((idx, a.counts, ft))
     return hits, scanned
 
 
@@ -157,9 +162,6 @@ class ClassifiedPair:
     graph: OrientedGraph
     counts: tuple[int, ...]
     fully_traversable: bool
-
-    def counts_by_vertex(self) -> dict[str, int]:
-        return dict(zip(self.graph.vertices, self.counts))
 
     def to_json_obj(self) -> dict:
         sinks = set(self.graph.sinks())
@@ -245,10 +247,3 @@ def search_isomorphic_pairs(
     result = ClassificationResult(pebble_cap, vertex_cap, pairs, scanned)
     result.stats["graph_classes"] = len(graphs)
     return result
-
-
-def classify_fully_traversable(
-    vertex_cap: int, pebble_cap: int, shards: int = 1
-) -> ClassificationResult:
-    """The fully traversable pairs among `search_isomorphic_pairs`."""
-    return search_isomorphic_pairs(vertex_cap, pebble_cap, ft_filter=True, shards=shards)

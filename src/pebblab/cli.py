@@ -21,12 +21,7 @@ import time
 
 from .assignment_graph import DEFAULT_STATE_BUDGET, build
 from .classify import search_isomorphic_pairs
-from .errors import (
-    PebblabError,
-    SearchBudgetExceededError,
-    StateBudgetExceededError,
-    UnknownClaimError,
-)
+from .errors import BudgetExceededError, PebblabError, UnknownClaimError
 from .iso import digraph_isomorphic, undirected_isomorphic
 from .textio import format_assignment, parse_graph_text
 from .theorems import (
@@ -63,14 +58,22 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1, for the budget and shard flags."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _state_budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("PEBBLAB_BUDGET")
     try:
-        return int(env) if env else DEFAULT_STATE_BUDGET
-    except ValueError:
-        raise PebblabError(f"PEBBLAB_BUDGET must be an integer, got {env!r}") from None
+        return positive_int(env) if env else DEFAULT_STATE_BUDGET
+    except (ValueError, argparse.ArgumentTypeError):
+        raise PebblabError(f"PEBBLAB_BUDGET must be an integer of at least 1, got {env!r}") from None
 
 
 def _read_instance(path: str):
@@ -152,9 +155,9 @@ _VERIFY_FLAGS = {
     "--random-trees": ("random_trees", int, {"type": int}),
     "--max-vertices": ("max_vertices", int, {"type": int}),
     "--seed": ("seed", int, {"type": int}),
-    "--budget": ("state_budget", int, {"type": int, "help": "state budget"}),
-    "--search-budget": ("search_budget", int, {"type": int}),
-    "--shards": ("shards", int, {"type": int}),
+    "--budget": ("state_budget", int, {"type": positive_int, "help": "state budget"}),
+    "--search-budget": ("search_budget", int, {"type": positive_int}),
+    "--shards": ("shards", int, {"type": positive_int}),
     "--format": (None, None, {"choices": ("json", "table"), "default": "table"}),
     "--output": (None, None, {"help": "write the report here instead of stdout"}),
     "--emit-graph": ("emit_graph", str, {"help": "write a constructed host graph here (thm-8.1)"}),
@@ -239,7 +242,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument("input", help="graph + assignment in the text format")
     p_build.add_argument("--dot", help="write the state graph as DOT to this path")
     p_build.add_argument("--json", help="write the state graph as JSON to this path")
-    p_build.add_argument("--budget", type=int, default=None, help="state budget")
+    p_build.add_argument("--budget", type=positive_int, default=None, help="state budget")
     p_build.set_defaults(fn=cmd_build)
 
     p_iso = sub.add_parser("iso", help="decide isomorphism of two graph files")
@@ -264,7 +267,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=("yes", "no", "any"),
         default="any",
     )
-    p_search.add_argument("--shards", type=int, default=1)
+    p_search.add_argument("--shards", type=positive_int, default=1)
     p_search.add_argument("--format", choices=("json", "table"), default="table")
     p_search.add_argument("--output", help="write the result here instead of stdout")
     p_search.set_defaults(fn=cmd_search)
@@ -275,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (StateBudgetExceededError, SearchBudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (PebblabError, FileNotFoundError) as exc:

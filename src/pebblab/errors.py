@@ -37,27 +37,36 @@ class IllegalMoveError(AssignmentError):
     pass
 
 
-class StateBudgetExceededError(PebblabError):
-    """State-graph construction would exceed the configured state cap.
+class BudgetExceededError(PebblabError):
+    """A budgeted computation ran out before finishing.
 
-    Raised instead of truncating: a truncated state graph would silently
-    falsify isomorphism and traversability answers.
+    Raised instead of truncating, so a missing result is never mistaken for
+    a proved absence.  ``resource`` names the `run_claim` parameter that
+    set ``budget``, so a report can name the budget that ran out.
     """
+
+    resource: str
+    message: str
 
     def __init__(self, budget: int):
         self.budget = budget
-        super().__init__(f"state graph exceeds the budget of {budget} states")
+        super().__init__(self.message.format(budget))
 
 
-class SearchBudgetExceededError(PebblabError):
-    """A backtracking search hit its node-expansion cap before finishing.
+class StateBudgetExceededError(BudgetExceededError):
+    """State-graph construction would exceed the configured state cap; a
+    truncated state graph would silently falsify isomorphism and
+    traversability answers."""
 
-    Distinguishes "not found within budget" from a proved absence.
-    """
+    resource = "state_budget"
+    message = "state graph exceeds the budget of {} states"
 
-    def __init__(self, budget: int):
-        self.budget = budget
-        super().__init__(f"search exceeded the budget of {budget} expansions")
+
+class SearchBudgetExceededError(BudgetExceededError):
+    """A search tried its cap of candidates before finishing."""
+
+    resource = "search_budget"
+    message = "search exceeded the budget of {} expansions"
 
 
 class EmbeddingNotFoundError(PebblabError):

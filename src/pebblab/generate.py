@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from .errors import GraphError
 from .graphs import OrientedGraph
 from .iso import canonical_form
 from .pebbling import Assignment
@@ -30,6 +31,8 @@ def enumerate_oriented_graphs(max_vertices: int, min_vertices: int = 1) -> list[
     lexicographic sweep of all 3^C(n,2) tuples would meet them first.  Six
     vertices (21,480 classes) take seconds.
     """
+    if max_vertices < 0:
+        raise GraphError(f"vertex cap must be non-negative, got {max_vertices}")
     out: list[OrientedGraph] = []
     keys: list[tuple[int, ...]] = [()]
     for n in range(max_vertices + 1):

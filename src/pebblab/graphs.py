@@ -104,9 +104,6 @@ class OrientedGraph:
         """Out-degree of ``v``: the number of edges that start there."""
         return len(self.out_neighbors(v))
 
-    def in_degree(self, v: str) -> int:
-        return len(self.in_neighbors(v))
-
     def sources(self) -> tuple[str, ...]:
         """Vertices with no incoming edge, in declaration order."""
         return tuple(v for v in self.vertices if not self._in[v])
@@ -153,12 +150,6 @@ class OrientedGraph:
                     reached.add(w)
                     frontier.append(w)
         return root if len(reached) == n else None
-
-    def undirected_neighbors(self, v: str) -> tuple[str, ...]:
-        self.index(v)
-        merged = dict.fromkeys(self._out[v])
-        merged.update(dict.fromkeys(self._in[v]))
-        return tuple(merged)
 
     def relabel(self, mapping: Mapping[str, str]) -> "OrientedGraph":
         """New graph with every vertex renamed through ``mapping``."""

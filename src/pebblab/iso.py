@@ -198,7 +198,10 @@ def _backtrack(
                 used.discard(x)
         return False
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        del rec  # rec refers to itself; breaking that cycle frees the search on return, not at the next GC
     return results
 
 
@@ -367,7 +370,10 @@ def canonical_labeling(g: OrientedGraph) -> tuple[bytes, tuple[str, ...]]:
             order.pop()
             placed[v] = False
 
-    rec(colors)
+    try:
+        rec(colors)
+    finally:
+        del rec  # as in _backtrack
     assert best_rows is not None and best_order is not None
 
     bits = [b for row in best_rows for b in row]

@@ -22,18 +22,12 @@ from .classify import (
     ClassificationResult,
     canonical_pair_key,
     classify_downward_4_cycle,
-    classify_fully_traversable,
-    iter_count_vectors,
+    iter_assignments,
     scan_graph_assignments,
+    search_isomorphic_pairs,
     state_graph_isomorphism,
 )
-from .errors import (
-    EmbeddingNotFoundError,
-    GraphError,
-    SearchBudgetExceededError,
-    StateBudgetExceededError,
-    UnknownClaimError,
-)
+from .errors import BudgetExceededError, EmbeddingNotFoundError, GraphError, UnknownClaimError
 from .generate import enumerate_downward_trees, random_downward_tree
 from .graphs import OrientedGraph, downward_cycle, oriented_complete_bipartite, oriented_path
 from .iso import (
@@ -112,9 +106,10 @@ def _describe(a: Assignment) -> str:
 
 
 def _budget_report(
-    claim: str, a: Assignment, budget: int, params: dict | None = None
+    claim: str, a: Assignment, exc: BudgetExceededError, params: dict | None = None
 ) -> VerificationReport:
-    return _instance_report(claim, a, BUDGET_EXCEEDED, params, stats={"state_budget": budget})
+    """A budget-exceeded report whose stats name the budget that ran out."""
+    return _instance_report(claim, a, BUDGET_EXCEEDED, params, stats={exc.resource: exc.budget})
 
 
 def _instance_report(
@@ -143,8 +138,8 @@ def verify_prop_1_1(
     edge is traversed exactly once."""
     try:
         ag = build(g, a, state_budget)
-    except StateBudgetExceededError:
-        return _budget_report("prop-1.1", a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report("prop-1.1", a, exc)
     ft = ag.is_fully_traversable()
     iso = digraph_isomorphic(g, ag.as_oriented_graph())
     stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
@@ -170,8 +165,8 @@ def verify_cor_1_1(
         )
     try:
         ag = build(g, a, state_budget)
-    except StateBudgetExceededError:
-        return _budget_report("cor-1.1", a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report("cor-1.1", a, exc)
     ft = ag.is_fully_traversable()
     iso = digraph_isomorphic(g, ag.as_oriented_graph())
     stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
@@ -199,8 +194,8 @@ def verify_cor_1_2(
     has nothing to traverse and satisfies the premises vacuously."""
     try:
         ag = build(g, a, state_budget)
-    except StateBudgetExceededError:
-        return _budget_report("cor-1.2", a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report("cor-1.2", a, exc)
     ft = ag.is_fully_traversable()
     iso = digraph_isomorphic(g, ag.as_oriented_graph())
     stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
@@ -274,8 +269,8 @@ def check_thm_2_1(
     """
     try:
         ag = build(g, a, state_budget)
-    except StateBudgetExceededError:
-        return _budget_report("thm-2.1", a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report("thm-2.1", a, exc)
     any_diamond, mismatch = _thm_2_1_sides(ag)
     stats = {
         "states": len(ag.states),
@@ -306,8 +301,8 @@ def verify_thm_2_2(
     pattern = find_downward_4_cycle(g)
     try:
         ag = build(g, a, state_budget)
-    except StateBudgetExceededError:
-        return _budget_report("thm-2.2", a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report("thm-2.2", a, exc)
     ft = ag.is_fully_traversable()
     stats = {"states": len(ag.states), "has_downward_4_cycle": pattern is not None, "fully_traversable": ft}
     if pattern is None or not ft:
@@ -375,8 +370,8 @@ def verify_thm_4_1(
     isomorphic to its state graph."""
     try:
         ag = build(g, a, state_budget)
-    except StateBudgetExceededError:
-        return _budget_report("thm-4.1", a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report("thm-4.1", a, exc)
     ft = ag.is_fully_traversable()
     cyclic = g.underlying_has_cycle()
     stats = {"states": len(ag.states), "fully_traversable": ft, "underlying_cycle": cyclic}
@@ -408,8 +403,8 @@ def verify_thm_5_1(
     a = tree_assignment(tree, root_pebbles, leaf_pebbles)
     try:
         ag = build(tree, a, state_budget)
-    except StateBudgetExceededError:
-        return _budget_report("thm-5.1", a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report("thm-5.1", a, exc)
     iso = digraph_isomorphic(tree, ag.as_oriented_graph())
     explicit_ok = _explicit_tree_map_is_isomorphism(tree, ag)
     stats = {
@@ -487,7 +482,7 @@ def verify_sec_6(
 ) -> tuple[VerificationReport, ClassificationResult]:
     """The fully traversable pairs isomorphic to their state graph are
     exactly the downward trees carrying the root-2-or-3 assignment."""
-    result = classify_fully_traversable(vertex_cap, pebble_cap, shards=shards)
+    result = search_isomorphic_pairs(vertex_cap, pebble_cap, ft_filter=True, shards=shards)
     found = {canonical_pair_key(p.graph, p.counts) for p in result.pairs}
     expected = set()
     for tree in enumerate_downward_trees(vertex_cap):
@@ -650,8 +645,8 @@ def verify_lemma_7_2(
     a = heavy_step_assignment(path, position, heavy, sink_pebbles, fill)
     try:
         ag = build(path, a, state_budget)
-    except StateBudgetExceededError:
-        return _budget_report("lem-7.2", a, state_budget, params)
+    except BudgetExceededError as exc:
+        return _budget_report("lem-7.2", a, exc, params)
     traversed = sum(1 for c in ag.traversal_counts().values() if c >= 1)
     stats = {"n": n, "position": position, "heavy": heavy, "traversed_edges": traversed}
     if traversed != n - 2:
@@ -726,12 +721,13 @@ def verify_thm_7_2(
     source_pebbles: int = 2,
     search_cap: int = 4,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    scan_budget: int = DEFAULT_EXPANSION_BUDGET,
+    search_budget: int = DEFAULT_EXPANSION_BUDGET,
 ) -> VerificationReport:
     """Build the state graph of the oriented complete bipartite graph with
     two or three pebbles per source, then (a) find the bipartite pattern as
     an oriented subgraph of it and (b) search bounded assignments making it
-    isomorphic to its own state graph.
+    isomorphic to its own state graph.  Each search tries at most
+    ``search_budget`` candidates.
 
     The assignment search is best effort: exhausting the cap without a
     finding is reported as budget-exceeded, not as a refutation.
@@ -745,30 +741,25 @@ def verify_thm_7_2(
     a_k = Assignment(k_graph, {f"a{i}": source_pebbles for i in range(1, n + 1)})
     try:
         ag = build(k_graph, a_k, state_budget)
-    except StateBudgetExceededError:
-        return report(BUDGET_EXCEEDED, "", stats={"state_budget": state_budget})
+    except BudgetExceededError as exc:
+        return report(BUDGET_EXCEEDED, "", stats={exc.resource: exc.budget})
     g = ag.as_oriented_graph()
     stats = {"construction_vertices": len(g.vertices), "construction_edges": len(g.edges)}
     try:
-        submap = find_oriented_subgraph(k_graph, g)
-    except SearchBudgetExceededError:
-        stats["expansion_budget"] = DEFAULT_EXPANSION_BUDGET
-        notes = ("the oriented-subgraph search hit its expansion budget",)
+        submap = find_oriented_subgraph(k_graph, g, search_budget)
+    except BudgetExceededError as exc:
+        stats[exc.resource] = exc.budget
+        notes = ("the oriented-subgraph search hit its search budget",)
         return report(BUDGET_EXCEEDED, stats=stats, notes=notes)
     if submap is None:
         notes = ("the bipartite pattern does not occur as an oriented subgraph",)
         return report(COUNTEREXAMPLE, stats=stats, notes=notes)
-    non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
     scanned = 0
-    for _, vec in iter_count_vectors(len(non_sink), search_cap):
-        scanned += 1
-        if scanned > scan_budget:
-            stats["assignments_scanned"] = scanned - 1
+    for _, candidate in iter_assignments(g, search_cap):
+        if scanned == search_budget:
+            stats.update(assignments_scanned=scanned, search_budget=search_budget)
             return report(BUDGET_EXCEEDED, " construction", stats=stats)
-        counts = [0] * len(g.vertices)
-        for pos, c in zip(non_sink, vec):
-            counts[pos] = c
-        candidate = Assignment(g, counts)
+        scanned += 1
         iso = state_graph_isomorphism(g, candidate)
         if iso is not None:
             stats["assignments_scanned"] = scanned
@@ -790,7 +781,7 @@ def construct_thm_8_1(
     g: OrientedGraph,
     a: Assignment,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    expansion_budget: int = DEFAULT_EXPANSION_BUDGET,
+    search_budget: int = DEFAULT_EXPANSION_BUDGET,
 ) -> tuple[OrientedGraph, Assignment, VerificationReport]:
     """When the graph embeds as an induced undirected subgraph of its state
     graph's shadow, reorient that shadow into a host graph: copy the
@@ -803,7 +794,7 @@ def construct_thm_8_1(
     """
     ag = build(g, a, state_budget)
     state_graph = ag.as_oriented_graph()
-    embedding = find_induced_undirected_embedding(g, state_graph, expansion_budget)
+    embedding = find_induced_undirected_embedding(g, state_graph, search_budget)
     if embedding is None:
         raise EmbeddingNotFoundError(
             "the graph is not an induced undirected subgraph of its state graph"
@@ -895,8 +886,8 @@ def _thm_8_1_on_instance(input: str, state_budget: int, search_budget: int):
         host, host_assignment, report = construct_thm_8_1(g, a, state_budget, search_budget)
     except EmbeddingNotFoundError as exc:
         return _instance_report("thm-8.1", a, HYPOTHESIS_NOT_MET, stats={"reason": str(exc)})
-    except StateBudgetExceededError:
-        return _budget_report("thm-8.1", a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report("thm-8.1", a, exc)
     return report, (host, host_assignment)
 
 

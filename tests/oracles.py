@@ -20,6 +20,9 @@ enumeration must return the same graphs in the same order.
 refinement, which ran one extra round to confirm its fixpoint, and the
 earlier variable order, which rescanned every unplaced vertex per placement.
 ``iso._refine`` and ``iso._variable_order`` must return exactly their lists.
+
+``reference_count_vectors`` is the earlier base conversion behind
+``classify.iter_count_vectors``, which must yield exactly its sequence.
 """
 
 from __future__ import annotations
@@ -344,3 +347,15 @@ def reference_variable_order(n: int, g_out, g_in, colors: list[int]) -> list[int
         placed.add(v)
         remaining.discard(v)
     return order
+
+
+def reference_count_vectors(length: int, cap: int, shard: int = 0, shards: int = 1):
+    base = cap + 1
+    total = base**length
+    for idx in range(shard, total, shards):
+        x = idx
+        vec = []
+        for _ in range(length):
+            vec.append(x % base)
+            x //= base
+        yield idx, tuple(vec)

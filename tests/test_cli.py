@@ -210,6 +210,15 @@ def _exit_code(argv: list[str]) -> int:
         (["verify", "thm-7.1", "--lengths", "2", "--pebbles", "2"], "does not read --pebbles"),
         (["verify", "thm-7.2", "--n", "2", "--m", "1", "--sweep"], "does not read --sweep"),
         (["verify", "thm-7.1", "--lengths", "2,3", "--path-pebbles", "2"], "one of each per factor"),
+        (["verify", "thm-3.1", "--k", "6", "--cap", "-1"], "pebble cap must be non-negative"),
+        (["verify", "sec-6", "--vertex-cap", "-1", "--pebble-cap", "3"], "vertex cap must be non-negative"),
+        (["verify", "sec-6", "--vertex-cap", "3", "--pebble-cap", "-2"], "pebble cap must be non-negative"),
+        (["search", "--max-vertices", "3", "--pebble-cap", "-1"], "pebble cap must be non-negative"),
+        (["build", "cycle.txt", "--budget", "0"], "argument --budget: must be at least 1, got 0"),
+        (["verify", "thm-2.1", "--input", "cycle.txt", "--budget", "0"], "argument --budget"),
+        (["verify", "thm-7.2", "--n", "2", "--m", "1", "--search-budget", "0"], "argument --search-budget"),
+        (["verify", "thm-3.1", "--k", "6", "--shards", "0"], "argument --shards"),
+        (["search", "--max-vertices", "2", "--pebble-cap", "2", "--shards", "-1"], "argument --shards"),
     ],
 )
 def test_verify_usage_errors_exit_2(capsys, argv, message):
@@ -223,6 +232,14 @@ def test_bad_budget_environment_is_a_usage_error(capsys, instance_file, monkeypa
     monkeypatch.setenv("PEBBLAB_BUDGET", "abc")
     assert main(["build", instance_file]) == 2
     assert "PEBBLAB_BUDGET" in capsys.readouterr().err
+
+
+def test_budget_environment_below_one_is_a_usage_error(capsys, instance_file, monkeypatch):
+    for value in ("0", "-3"):
+        monkeypatch.setenv("PEBBLAB_BUDGET", value)
+        assert main(["build", instance_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "PEBBLAB_BUDGET" in captured.err
 
 
 # A valid invocation of every claim form; forms that read the state budget
@@ -266,6 +283,29 @@ def test_every_claim_that_reads_budget_reports_budget_exceeded(tmp_path, capsys,
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "budget-exceeded", argv
         assert payload["stats"]["state_budget"] == 1, argv
+
+
+def test_every_claim_that_reads_search_budget_reports_it(capsys, instance_file):
+    from pebblab.cli import _parser, _verify_params
+    from pebblab.theorems import CLAIMS, replay, run_claim
+
+    searched = [
+        claim
+        for claim, forms in CLAIMS.items()
+        for form in forms
+        if "search_budget" in form.keys
+    ]
+    assert searched == ["thm-7.2", "thm-8.1"]
+    invocations = {"thm-7.2": ["--n", "2", "--m", "1"], "thm-8.1": ["--input", instance_file]}
+    for claim in searched:
+        argv = ["verify", claim, *invocations[claim], "--search-budget", "1", "--format", "json"]
+        assert main(argv) == 3, claim
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "budget-exceeded", claim
+        assert payload["stats"]["search_budget"] == 1, claim
+        report, _ = run_claim(claim, _verify_params(_parser().parse_args(argv)))
+        assert report.to_json_obj() == payload, claim
+        assert replay(report, search_budget=1).to_json_obj() == payload, claim
 
 
 def test_readme_claim_table_follows_the_registry():

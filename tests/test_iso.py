@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -21,9 +22,11 @@ from pebblab import (
     new_graph,
     oriented_complete_bipartite,
     oriented_path,
+    random_downward_tree,
     random_oriented_graph,
     simple_assignment,
     theorems,
+    tree_assignment,
     undirected_isomorphic,
     verify_mapping,
 )
@@ -377,3 +380,22 @@ def test_verify_mapping_accepts_exactly_the_brute_force_maps():
         ):
             witness = IsoMapping(mode, tuple(mapping.items()))
             assert verify_mapping(g, h, witness) == (mapping in brute), (mode, g.edges, h.edges)
+
+
+def test_searches_leave_no_reference_cycles():
+    tree = random_downward_tree(random.Random(3), 20)
+    state_graph = build(tree, tree_assignment(tree, 2)).as_oriented_graph()
+    searches = [
+        lambda: digraph_isomorphic(tree, state_graph),
+        lambda: automorphisms(tree),
+        lambda: find_oriented_subgraph(oriented_path(3), downward_cycle(4)),
+        lambda: canonical_form(tree),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for search in searches:
+            assert search()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -6,6 +6,7 @@ import pytest
 
 from pebblab import (
     Assignment,
+    AssignmentError,
     EmbeddingNotFoundError,
     GraphError,
     UnknownClaimError,
@@ -61,7 +62,7 @@ from pebblab.theorems import (
     verify_thm_7_1_sweep,
 )
 from conftest import corpus_instances, star_tree
-from oracles import ReferenceAssignmentGraph, reference_build, reference_thm_2_1
+from oracles import ReferenceAssignmentGraph, reference_build, reference_count_vectors, reference_thm_2_1
 
 
 # -- prop 1.1 and its corollaries ---------------------------------------------
@@ -449,8 +450,33 @@ def test_thm_7_2_small_cases():
 def test_thm_7_2_budget_paths():
     report = verify_thm_7_2(2, 2, search_cap=0)
     assert report.verdict == BUDGET_EXCEEDED
-    report = verify_thm_7_2(2, 2, scan_budget=5)
+    report = verify_thm_7_2(2, 2, search_budget=5)
     assert report.verdict == BUDGET_EXCEEDED
+
+
+def test_thm_7_2_search_budget_caps_the_subgraph_search_and_the_scan():
+    # K(2,2)'s subgraph search needs more than 5 candidates, the assignment
+    # scan more than 50 assignments.
+    construction = {"construction_vertices": 8, "construction_edges": 12}
+    report = verify_thm_7_2(2, 2, search_budget=5)
+    assert (report.verdict, report.stats) == (BUDGET_EXCEEDED, {**construction, "search_budget": 5})
+    report = verify_thm_7_2(2, 2, search_budget=50)
+    assert (report.verdict, report.stats) == (
+        BUDGET_EXCEEDED,
+        {**construction, "search_budget": 50, "assignments_scanned": 50},
+    )
+    assert verify_thm_7_2(2, 2).verdict == HOLDS
+
+
+def test_count_vectors_match_the_base_conversion():
+    for length in range(6):
+        for cap in range(4):
+            for shards in range(1, 4):
+                for shard in range(shards):
+                    got = list(iter_count_vectors(length, cap, shard, shards))
+                    assert got == list(reference_count_vectors(length, cap, shard, shards))
+    with pytest.raises(AssignmentError):
+        iter_count_vectors(2, -1)
 
 
 # -- thm 8.1 ------------------------------------------------------------------
