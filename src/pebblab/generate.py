@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 from .errors import GraphError
 from .graphs import OrientedGraph
-from .iso import canonical_form
+from .iso import _least_choice_tuple, canonical_form
 from .pebbling import Assignment
 
 
@@ -77,57 +77,6 @@ def _augment(keys: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
                     p[i] |= bit
             found.add(_least_choice_tuple(s, p))
     return sorted(found)
-
-
-def _least_choice_tuple(succ: list[int], pred: list[int]) -> tuple[int, ...]:
-    """The least choice tuple of a graph over all orderings of its vertices,
-    given per-vertex out- and in-neighbour bitmasks.
-
-    The tuple is row after row: position r's codes to positions r+1...  A
-    state is an ordered prefix plus the remaining vertices as ordered cells,
-    within which the order is still free.  Position r is taken from the
-    first cell, and its row is least when each cell lists its codes sorted.
-    A sorted cell is fixed by its counts of non-zero and of code-2 entries,
-    fewer of each being less, and all surviving states have the same cell
-    sizes, so rows compare as those counts.  Only the states that reach the
-    least row survive, each cell split by code 0/1/2 in that order.  At
-    most n! states arise.
-    """
-    n = len(succ)
-    states: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ((1 << n) - 1,))]
-    for _ in range(n):
-        best = None
-        chosen = []
-        for prefix, cells in states:
-            head = rest = cells[0]
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                v = bit.bit_length() - 1
-                s, p = succ[v], pred[v]
-                row = []
-                for cell in (head ^ bit, *cells[1:]):
-                    twos = (p & cell).bit_count()
-                    row.append((s & cell).bit_count() + twos)
-                    row.append(twos)
-                if best is None or row < best:
-                    best, chosen = row, [(prefix, cells, bit, v)]
-                elif row == best:
-                    chosen.append((prefix, cells, bit, v))
-        states = []
-        for prefix, cells, bit, v in chosen:
-            s, p = succ[v], pred[v]
-            split = []
-            for cell in (cells[0] ^ bit, *cells[1:]):
-                for part in (cell & ~(s | p), cell & s, cell & p):
-                    if part:
-                        split.append(part)
-            states.append((prefix + (v,), tuple(split)))
-    order = states[0][0]
-    return tuple(
-        1 if succ[u] >> w & 1 else 2 if pred[u] >> w & 1 else 0
-        for u, w in combinations(order, 2)
-    )
 
 
 def _graph_from_choices(n: int, choices: tuple[int, ...]) -> OrientedGraph:

@@ -31,12 +31,14 @@ class OrientedGraph:
         vertices: Iterable[str],
         edges: Iterable[tuple[str, str]] = (),
     ):
-        names = tuple(str(v) for v in vertices)
+        # Items are checked as consumed, so a streaming caller knows the bad one.
         index: dict[str, int] = {}
-        for name in names:
+        for v in vertices:
+            name = str(v)
             if name in index:
                 raise DuplicateVertexError(f"duplicate vertex {name!r}")
             index[name] = len(index)
+        names = tuple(index)
 
         seen: set[tuple[str, str]] = set()
         kept: list[tuple[str, str]] = []

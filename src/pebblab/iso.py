@@ -21,16 +21,18 @@ colors, sorted in-neighbor colors) signature and stops in the first round in
 which the number of color classes does not grow.  That round's ranks are the
 input colors densely relabelled, so dense stable input comes back unchanged.
 
-``canonical_labeling`` keeps its own recursion: it minimizes an encoding over
-vertex orderings rather than mapping into a target graph.  Instances in this
-project stay small (a few dozen vertices), so a self-contained search beats
-delegating to an external solver and keeps every witness auditable.
+``canonical_labeling`` maps into no target graph, so it has its own search,
+``_least_order``, which also keys enumeration in ``generate``: the ordering
+with the least choice tuple, grown one position at a time over every tying
+prefix.  Instances here stay small (a few dozen vertices), so a self-contained
+search beats an external solver and keeps every witness auditable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import PebblabError, SearchBudgetExceededError
 from .graphs import OrientedGraph
@@ -292,100 +294,84 @@ def automorphisms(g: OrientedGraph) -> list[IsoMapping]:
 # -- canonical labeling ------------------------------------------------------
 
 
-def _source_distances(n: int, out_adj: list[set[int]], in_adj: list[set[int]]) -> list[int]:
-    dist = [n + 1] * n
-    frontier = [v for v in range(n) if not in_adj[v]]
-    for v in frontier:
-        dist[v] = 0
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for v in frontier:
-            for w in out_adj[v]:
-                if dist[w] > level:
-                    dist[w] = level
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+def _least_order(succ: list[int], pred: list[int]) -> tuple[int, ...]:
+    """A vertex ordering whose choice tuple is least over all orderings of a
+    graph, given per-vertex out- and in-neighbour bitmasks.
+
+    The tuple is row after row: position r's codes to positions r+1...  A
+    state is an ordered prefix plus the remaining vertices as ordered cells,
+    within which the order is still free.  Position r is taken from the
+    first cell, and its row is least when each cell lists its codes sorted.
+    A sorted cell is fixed by its counts of non-zero and of code-2 entries,
+    fewer of each being less, and all surviving states have the same cell
+    sizes, so rows compare as those counts.  Only the states that reach the
+    least row survive, each cell split by code 0/1/2 in that order.  At
+    most n! states arise; the first survivor's prefix is returned.
+    """
+    n = len(succ)
+    states: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ((1 << n) - 1,))]
+    for _ in range(n):
+        best = None
+        chosen = []
+        for prefix, cells in states:
+            head = rest = cells[0]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                s, p = succ[v], pred[v]
+                row = []
+                for cell in (head ^ bit, *cells[1:]):
+                    twos = (p & cell).bit_count()
+                    row.append((s & cell).bit_count() + twos)
+                    row.append(twos)
+                if best is None or row < best:
+                    best, chosen = row, [(prefix, cells, bit, v)]
+                elif row == best:
+                    chosen.append((prefix, cells, bit, v))
+        states = []
+        for prefix, cells, bit, v in chosen:
+            s, p = succ[v], pred[v]
+            split = []
+            for cell in (cells[0] ^ bit, *cells[1:]):
+                for part in (cell & ~(s | p), cell & s, cell & p):
+                    if part:
+                        split.append(part)
+            states.append((prefix + (v,), tuple(split)))
+    return states[0][0]
+
+
+def _choice_tuple(succ: list[int], pred: list[int], order) -> tuple[int, ...]:
+    """Per pair of positions in ``order``: 0 no edge, 1 forward, 2 backward."""
+    return tuple(
+        1 if succ[u] >> w & 1 else 2 if pred[u] >> w & 1 else 0
+        for u, w in combinations(order, 2)
+    )
+
+
+def _least_choice_tuple(succ: list[int], pred: list[int]) -> tuple[int, ...]:
+    """The least choice tuple of a graph over all orderings of its vertices."""
+    return _choice_tuple(succ, pred, _least_order(succ, pred))
 
 
 def canonical_labeling(g: OrientedGraph) -> tuple[bytes, tuple[str, ...]]:
     """Canonical byte form plus one vertex ordering achieving it.
 
-    The byte form is the vertex count followed by the adjacency matrix bits
-    of the lexicographically minimal encoding over all orderings compatible
-    with iterated (in-degree, out-degree, source-distance) refinement.  Two
-    graphs get equal bytes exactly when they are isomorphic: the encoding
-    pins the whole matrix, and the candidate orderings are
-    relabeling-invariant.
+    The byte form is the vertex count (two bytes) followed by the least
+    choice tuple, one byte per vertex pair; the names come in its ordering.
+    Two graphs get equal bytes exactly when they are isomorphic: the tuple
+    pins every edge, and the minimum is over all orderings.
     """
     n = len(g.vertices)
-    out, inn = _directed_adj(g)
-    if n == 0:
-        return (0).to_bytes(2, "big"), ()
-
-    dist = _source_distances(n, out, inn)
-    init = [(len(out[v]), len(inn[v]), dist[v]) for v in range(n)]
-    ranks = {s: r for r, s in enumerate(sorted(set(init)))}
-    colors = _refine(out, inn, [ranks[s] for s in init])
-
-    best_rows: list[tuple[int, ...]] | None = None
-    best_order: tuple[int, ...] | None = None
-    rows: list[tuple[int, ...]] = []
-    order: list[int] = []
-    placed = [False] * n
-
-    def rec(colors: list[int]) -> None:
-        nonlocal best_rows, best_order
-        d = len(order)
-        if d == n:
-            if best_rows is None:
-                best_rows = list(rows)
-                best_order = tuple(order)
-            return
-        unplaced = [v for v in range(n) if not placed[v]]
-        mincol = min(colors[v] for v in unplaced)
-        for v in unplaced:
-            if colors[v] != mincol:
-                continue
-            row = []
-            for j in range(d):
-                row.append(1 if order[j] in out[v] else 0)
-                row.append(1 if v in out[order[j]] else 0)
-            row = tuple(row)
-            if best_rows is not None:
-                if row > best_rows[d]:
-                    continue
-                if row < best_rows[d]:
-                    best_rows = None
-                    best_order = None
-            placed[v] = True
-            order.append(v)
-            rows.append(row)
-            refined = list(colors)
-            refined[v] = -1 - d
-            rec(_refine(out, inn, refined))
-            rows.pop()
-            order.pop()
-            placed[v] = False
-
-    try:
-        rec(colors)
-    finally:
-        del rec  # as in _backtrack
-    assert best_rows is not None and best_order is not None
-
-    bits = [b for row in best_rows for b in row]
-    packed = bytearray(n.to_bytes(2, "big"))
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = (byte << 1) | b
-        byte <<= (8 - len(bits[i : i + 8])) % 8
-        packed.append(byte)
-    names = tuple(g.vertices[v] for v in best_order)
-    return bytes(packed), names
+    index = g._index
+    succ, pred = [0] * n, [0] * n
+    for u, w in g.edges:
+        iu, iw = index[u], index[w]
+        succ[iu] |= 1 << iw
+        pred[iw] |= 1 << iu
+    order = _least_order(succ, pred)
+    form = n.to_bytes(2, "big") + bytes(_choice_tuple(succ, pred, order))
+    return form, tuple(g.vertices[v] for v in order)
 
 
 def canonical_form(g: OrientedGraph) -> bytes:

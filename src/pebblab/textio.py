@@ -12,19 +12,19 @@ edges, in declaration order; assignment writers always emit explicit counts.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import GraphError, ParseError
 from .graphs import OrientedGraph
 from .pebbling import Assignment
 
 
 def parse_graph_text(text: str) -> tuple[OrientedGraph, Assignment]:
-    """Parse the text format into a graph plus assignment (counts default 0)."""
-    names: list[str] = []
-    counts: dict[str, int] = {}
-    edges: list[tuple[str, str]] = []
-    declared: set[str] = set()
-    edge_pairs: set[tuple[str, str]] = set()
+    """Parse the text format into a graph plus assignment (counts default 0).
 
+    Graph errors come from ``OrientedGraph``, on the line it was consuming.
+    """
+    vertices: list[tuple[int, str]] = []
+    edges: list[tuple[int, tuple[str, str]]] = []
+    counts: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -33,11 +33,7 @@ def parse_graph_text(text: str) -> tuple[OrientedGraph, Assignment]:
         if parts[0] == "v":
             if len(parts) not in (2, 3):
                 raise ParseError(lineno, f"vertex line needs a name and optional count: {raw!r}")
-            name = parts[1]
-            if name in declared:
-                raise ParseError(lineno, f"duplicate vertex {name!r}")
-            declared.add(name)
-            names.append(name)
+            vertices.append((lineno, parts[1]))
             if len(parts) == 3:
                 try:
                     count = int(parts[2])
@@ -45,25 +41,25 @@ def parse_graph_text(text: str) -> tuple[OrientedGraph, Assignment]:
                     raise ParseError(lineno, f"pebble count {parts[2]!r} is not an integer") from None
                 if count < 0:
                     raise ParseError(lineno, f"pebble count must be non-negative, got {count}")
-                counts[name] = count
+                counts[parts[1]] = count
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ParseError(lineno, f"edge line needs two endpoints: {raw!r}")
-            u, w = parts[1], parts[2]
-            if u not in declared:
-                raise ParseError(lineno, f"edge endpoint {u!r} is not a declared vertex")
-            if w not in declared:
-                raise ParseError(lineno, f"edge endpoint {w!r} is not a declared vertex")
-            if u == w:
-                raise ParseError(lineno, f"self-loop on vertex {u!r}")
-            if (w, u) in edge_pairs:
-                raise ParseError(lineno, f"edge {u!r} -> {w!r} opposes an earlier edge")
-            edge_pairs.add((u, w))
-            edges.append((u, w))
+            edges.append((lineno, (parts[1], parts[2])))
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
 
-    graph = OrientedGraph(names, dict.fromkeys(edges))
+    at = 0
+
+    def numbered(items):
+        nonlocal at
+        for at, item in items:
+            yield item
+
+    try:
+        graph = OrientedGraph(numbered(vertices), numbered(edges))
+    except GraphError as exc:
+        raise ParseError(at, str(exc)) from None
     return graph, Assignment(graph, counts)
 
 

@@ -448,6 +448,10 @@ def verify_thm_5_1_batch(
 ) -> VerificationReport:
     """Seeded batch: random downward trees with random leaf counts; the
     isomorphism must hold and every traversal count must equal one."""
+    if trees < 1:
+        raise GraphError(f"tree count must be at least 1, got {trees}")
+    if max_vertices < 2:
+        raise GraphError(f"max vertices must be at least 2, got {max_vertices}")
     rng = random.Random(seed)
     states_total = 0
     for i in range(trees):
@@ -569,6 +573,10 @@ def verify_thm_7_1(
 
 
 def verify_thm_7_1_sweep(max_factors: int = 3, max_length: int = 4) -> VerificationReport:
+    if max_factors < 1:
+        raise GraphError(f"max factors must be at least 1, got {max_factors}")
+    if max_length < 2:
+        raise GraphError(f"max length must be at least 2, got {max_length}")
     options = [(n, sp) for n in range(2, max_length + 1) for sp in (2, 3)]
     reports = []
     for r in range(1, max_factors + 1):
@@ -609,6 +617,8 @@ def verify_lemma_7_1(
 
 
 def verify_lemma_7_1_sweep(max_k: int = 8) -> VerificationReport:
+    if max_k < 2:
+        raise GraphError(f"max k must be at least 2, got {max_k}")
     reports = []
     for k in range(2, max_k + 1):
         n = k // 2 + 1
@@ -665,6 +675,8 @@ def verify_lemma_7_2(
 
 
 def verify_lemma_7_2_sweep(max_n: int = 6) -> VerificationReport:
+    if max_n < 3:
+        raise GraphError(f"max n must be at least 3, got {max_n}")
     reports = []
     for n in range(3, max_n + 1):
         order = [f"a{i}" for i in range(1, n + 1)]

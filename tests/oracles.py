@@ -21,6 +21,9 @@ refinement, which ran one extra round to confirm its fixpoint, and the
 earlier variable order, which rescanned every unplaced vertex per placement.
 ``iso._refine`` and ``iso._variable_order`` must return exactly their lists.
 
+``_source_distances`` is the level map the earlier ``canonical_labeling``
+seeded its colors with: each vertex's shortest distance from a source.
+
 ``reference_count_vectors`` is the earlier base conversion behind
 ``classify.iter_count_vectors``, which must yield exactly its sequence.
 """
@@ -347,6 +350,24 @@ def reference_variable_order(n: int, g_out, g_in, colors: list[int]) -> list[int
         placed.add(v)
         remaining.discard(v)
     return order
+
+
+def _source_distances(n: int, out_adj: list[set[int]], in_adj: list[set[int]]) -> list[int]:
+    dist = [n + 1] * n
+    frontier = [v for v in range(n) if not in_adj[v]]
+    for v in frontier:
+        dist[v] = 0
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for w in out_adj[v]:
+                if dist[w] > level:
+                    dist[w] = level
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def reference_count_vectors(length: int, cap: int, shard: int = 0, shards: int = 1):

@@ -219,6 +219,13 @@ def _exit_code(argv: list[str]) -> int:
         (["verify", "thm-7.2", "--n", "2", "--m", "1", "--search-budget", "0"], "argument --search-budget"),
         (["verify", "thm-3.1", "--k", "6", "--shards", "0"], "argument --shards"),
         (["search", "--max-vertices", "2", "--pebble-cap", "2", "--shards", "-1"], "argument --shards"),
+        (["verify", "thm-5.1", "--random-trees", "0"], "tree count must be at least 1, got 0"),
+        (["verify", "thm-5.1", "--random-trees", "-1"], "tree count must be at least 1, got -1"),
+        (["verify", "thm-5.1", "--random-trees", "3", "--max-vertices", "1"], "max vertices must be at least 2, got 1"),
+        (["verify", "thm-7.1", "--sweep", "--max-factors", "-1"], "max factors must be at least 1, got -1"),
+        (["verify", "thm-7.1", "--sweep", "--max-length", "1"], "max length must be at least 2, got 1"),
+        (["verify", "lem-7.1", "--sweep", "--max-k", "-3"], "max k must be at least 2, got -3"),
+        (["verify", "lem-7.2", "--sweep", "--max-n", "0"], "max n must be at least 3, got 0"),
     ],
 )
 def test_verify_usage_errors_exit_2(capsys, argv, message):

@@ -6,13 +6,16 @@ from itertools import combinations, permutations
 from pebblab import (
     OrientedGraph,
     canonical_form,
+    canonical_labeling,
     enumerate_downward_trees,
     enumerate_oriented_graphs,
     random_assignment,
     random_downward_tree,
     random_oriented_graph,
 )
+from pebblab import generate, iso
 from pebblab.generate import _least_choice_tuple, _masks
+from conftest import star_tree
 from oracles import brute_isomorphisms, reference_enumerate_oriented_graphs
 
 
@@ -94,6 +97,36 @@ def test_least_choice_tuple_is_the_brute_force_minimum():
         relabel = dict(zip(g.vertices, perm))
         h = OrientedGraph(g.vertices, ((relabel[u], relabel[w]) for u, w in g.edges))
         assert _least_key(h) == key
+
+
+def test_canonical_form_is_the_count_and_the_least_choice_tuple():
+    assert generate._least_choice_tuple is iso._least_choice_tuple
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        g = random_oriented_graph(rng, n, rng.uniform(0.1, 0.9))
+        form, order = canonical_labeling(g)
+        assert form == n.to_bytes(2, "big") + bytes(_brute_least_choice_tuple(g))
+        assert sorted(order) == sorted(g.vertices)
+        assert form == n.to_bytes(2, "big") + bytes(_choice_tuple(g, order))
+
+
+def _random_relabel(rng, g):
+    names = list(g.vertices)
+    shuffled = rng.sample(names, len(names))
+    mapping = dict(zip(names, shuffled))
+    return OrientedGraph(rng.sample(shuffled, len(shuffled)), ((mapping[u], mapping[w]) for u, w in g.edges))
+
+
+def test_canonical_labeling_is_relabel_invariant_on_trees_and_stars():
+    rng = random.Random(13)
+    graphs = [random_downward_tree(rng, rng.randint(10, 24)) for _ in range(40)]
+    graphs += [star_tree(k) for k in range(1, 8)]
+    for g in graphs:
+        form = canonical_form(g)
+        for h in (g, _random_relabel(rng, g), _random_relabel(rng, g)):
+            form_h, order_h = canonical_labeling(h)
+            assert form_h == form == len(h.vertices).to_bytes(2, "big") + bytes(_choice_tuple(h, order_h))
 
 
 def test_enumerate_downward_trees_counts():

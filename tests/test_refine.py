@@ -19,8 +19,8 @@ from pebblab import (
     tree_assignment,
     undirected_isomorphic,
 )
-from pebblab.iso import _directed_adj, _joint_colors, _refine, _shadow_adj, _source_distances, _variable_order
-from oracles import reference_refine, reference_variable_order
+from pebblab.iso import _directed_adj, _joint_colors, _refine, _shadow_adj, _variable_order
+from oracles import _source_distances, reference_refine, reference_variable_order
 
 
 def _dense(keys):
@@ -81,8 +81,9 @@ def test_refine_returns_the_reference_lists_on_dense_input():
 
 
 def test_refine_returns_the_reference_lists_on_individualised_input():
-    """Walk down canonical_labeling's search, individualising one vertex of
-    the least color at each depth, and compare every refinement on the way."""
+    """Walk down the earlier canonical_labeling's search, individualising one
+    vertex of the least color at each depth, and compare every refinement on
+    the way."""
     rng = random.Random(23)
     for g, _ in _pairs():
         n = len(g.vertices)
