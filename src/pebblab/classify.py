@@ -3,9 +3,9 @@
 Scans fix every valence-zero vertex at zero pebbles and report it as "any":
 pebbles on a valence-zero vertex never enable or change a move, so each
 finding stands for the whole infinite family over sink counts.  Instance
-spaces are partitioned into independent shards (decoded from a running
-index, so any shard count yields the same instances) and results merge
-deterministically by that index.
+spaces are partitioned into shards decoded from one running index over all
+the graphs of a scan, so any shard count yields the same instances, and
+results merge deterministically by that index.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .graphs import OrientedGraph, downward_cycle
 from .iso import IsoMapping, automorphisms, canonical_labeling, digraph_isomorphic
 from .pebbling import Assignment
 from .textio import format_graph
+
+Hit = tuple[int, int, tuple[int, ...], bool]
 
 
 def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | None:
@@ -75,48 +77,47 @@ def iter_assignments(
         yield idx, Assignment(g, counts)
 
 
-def _scan_one_graph(
-    g: OrientedGraph,
-    pebble_cap: int,
-    shard: int,
-    shards: int,
-    ft_filter: bool | None,
-) -> tuple[list[tuple[int, tuple[int, ...], bool]], int]:
-    """Hits are (index, full count vector, fully_traversable) for every
-    assignment whose state graph is isomorphic to the graph."""
-    n = len(g.vertices)
-    hits: list[tuple[int, tuple[int, ...], bool]] = []
+def _scan_shard(
+    graphs: list[OrientedGraph], pebble_cap: int, ft_filter: bool | None, shard: int, shards: int
+) -> tuple[list[Hit], int]:
+    """Scan every ``shards``-th pair from ``shard`` on of the stream that
+    numbers each graph's assignments after those of the graphs before it.
+    Hits are (graph position, index, full count vector, fully_traversable)
+    for every assignment whose state graph is isomorphic to its graph."""
+    hits: list[Hit] = []
     scanned = 0
-    for idx, a in iter_assignments(g, pebble_cap, shard, shards):
-        scanned += 1
-        if state_graph_isomorphism(g, a) is None:
-            continue
-        ft = build(g, a, state_budget=n).is_fully_traversable()
-        if ft_filter is None or ft == ft_filter:
-            hits.append((idx, a.counts, ft))
+    offset = 0
+    for pos, g in enumerate(graphs):
+        n = len(g.vertices)
+        for idx, a in iter_assignments(g, pebble_cap, (shard - offset) % shards, shards):
+            scanned += 1
+            if state_graph_isomorphism(g, a) is None:
+                continue
+            ft = build(g, a, state_budget=n).is_fully_traversable()
+            if ft_filter is None or ft == ft_filter:
+                hits.append((pos, idx, a.counts, ft))
+        offset += (pebble_cap + 1) ** (n - len(g.sinks()))
     return hits, scanned
 
 
-def _scan_shard_worker(args) -> tuple[list[tuple[int, tuple[int, ...], bool]], int]:
-    vertices, edges, pebble_cap, shard, shards, ft_filter = args
-    g = OrientedGraph(vertices, edges)
-    return _scan_one_graph(g, pebble_cap, shard, shards, ft_filter)
+def _scan_shard_worker(args) -> tuple[list[Hit], int]:
+    return _scan_shard([OrientedGraph(*spec) for spec in args[0]], *args[1:])
 
 
 def scan_graph_assignments(
-    g: OrientedGraph,
-    pebble_cap: int,
-    ft_filter: bool | None = None,
-    shards: int = 1,
-) -> tuple[list[tuple[int, tuple[int, ...], bool]], int]:
+    graphs: list[OrientedGraph], pebble_cap: int, ft_filter: bool | None = None, shards: int = 1
+) -> tuple[list[Hit], int]:
+    """One scan over the joint assignment space of ``graphs``: the hits in
+    (graph position, index) order and the number of assignments scanned.
+    Several shards share one process pool whose workers rebuild the graphs,
+    which do not pickle."""
     if shards <= 1:
-        return _scan_one_graph(g, pebble_cap, 0, 1, ft_filter)
-    args = [
-        (g.vertices, g.edges, pebble_cap, s, shards, ft_filter) for s in range(shards)
-    ]
+        return _scan_shard(graphs, pebble_cap, ft_filter, 0, 1)
+    specs = [(g.vertices, g.edges) for g in graphs]
+    args = [(specs, pebble_cap, ft_filter, s, shards) for s in range(shards)]
     with ProcessPoolExecutor(max_workers=shards) as pool:
         parts = list(pool.map(_scan_shard_worker, args))
-    hits = sorted((h for part in parts for h in part[0]), key=lambda h: h[0])
+    hits = sorted((h for part in parts for h in part[0]), key=lambda h: h[:2])
     return hits, sum(part[1] for part in parts)
 
 
@@ -210,40 +211,39 @@ class ClassificationResult:
         return "\n".join(lines) + "\n"
 
 
-def classify_downward_4_cycle(
-    pebble_cap: int, shards: int = 1
+def _classify(
+    graphs: list[OrientedGraph], pebble_cap: int, vertex_cap: int | None,
+    ft_filter: bool | None, shards: int,
 ) -> ClassificationResult:
+    """Scan ``graphs`` and keep each graph's hits modulo its automorphisms."""
+    hits, scanned = scan_graph_assignments(graphs, pebble_cap, ft_filter, shards)
+    ft_by_vec: list[dict[tuple[int, ...], bool]] = [{} for _ in graphs]
+    for pos, _, vec, ft in hits:
+        ft_by_vec[pos][vec] = ft
+    pairs = [
+        ClassifiedPair(g, vec, found[vec])
+        for g, found in zip(graphs, ft_by_vec)
+        for vec in reduce_modulo_automorphisms(g, list(found))
+    ]
+    return ClassificationResult(pebble_cap, vertex_cap, pairs, scanned)
+
+
+def classify_downward_4_cycle(pebble_cap: int, shards: int = 1) -> ClassificationResult:
     """Every assignment on the downward 4-cycle (non-sink counts up to
     ``pebble_cap``, sink symbolic) whose state graph is isomorphic to the
     cycle, reduced modulo the cycle's order-2 symmetry."""
     if pebble_cap < 4:
         raise AssignmentError(f"pebble cap must be at least 4 to be convincing, got {pebble_cap}")
-    g = downward_cycle(4)
-    hits, scanned = scan_graph_assignments(g, pebble_cap, ft_filter=None, shards=shards)
-    ft_by_vec = {vec: ft for _, vec, ft in hits}
-    reduced = reduce_modulo_automorphisms(g, [vec for _, vec, _ in hits])
-    pairs = [ClassifiedPair(g, vec, ft_by_vec[vec]) for vec in reduced]
-    return ClassificationResult(pebble_cap, None, pairs, scanned)
+    return _classify([downward_cycle(4)], pebble_cap, None, None, shards)
 
 
 def search_isomorphic_pairs(
-    vertex_cap: int,
-    pebble_cap: int,
-    ft_filter: bool | None = None,
-    shards: int = 1,
+    vertex_cap: int, pebble_cap: int, ft_filter: bool | None = None, shards: int = 1
 ) -> ClassificationResult:
     """Scan every oriented graph up to ``vertex_cap`` vertices (one per
     isomorphism class) against every assignment with non-sink counts up to
     ``pebble_cap`` and keep the pairs isomorphic to their state graph."""
-    pairs: list[ClassifiedPair] = []
-    scanned = 0
     graphs = enumerate_oriented_graphs(vertex_cap)
-    for g in graphs:
-        hits, n_scanned = scan_graph_assignments(g, pebble_cap, ft_filter, shards)
-        scanned += n_scanned
-        ft_by_vec = {vec: ft for _, vec, ft in hits}
-        for vec in reduce_modulo_automorphisms(g, [vec for _, vec, _ in hits]):
-            pairs.append(ClassifiedPair(g, vec, ft_by_vec[vec]))
-    result = ClassificationResult(pebble_cap, vertex_cap, pairs, scanned)
+    result = _classify(graphs, pebble_cap, vertex_cap, ft_filter, shards)
     result.stats["graph_classes"] = len(graphs)
     return result

@@ -346,7 +346,7 @@ def verify_thm_3_1(
     if k <= 4 or k % 2:
         raise GraphError(f"k must be even and greater than 4, got {k}")
     g = downward_cycle(k)
-    hits, scanned = scan_graph_assignments(g, pebble_cap, ft_filter=None, shards=shards)
+    hits, scanned = scan_graph_assignments([g], pebble_cap, ft_filter=None, shards=shards)
     stats = {"k": k, "pebble_cap": pebble_cap, "scanned": scanned, "isomorphic_found": len(hits)}
     report = VerificationReport(
         "thm-3.1",
@@ -356,7 +356,7 @@ def verify_thm_3_1(
         params={"k": k, "cap": pebble_cap},
     )
     if hits:
-        a = Assignment(g, hits[0][1])
+        a = Assignment(g, hits[0][2])
         report.verdict = COUNTEREXAMPLE
         report.witness = {"assignment": a.as_dict()}
         report.instance_text = format_assignment(a)
@@ -485,7 +485,10 @@ def verify_sec_6(
     vertex_cap: int, pebble_cap: int, shards: int = 1
 ) -> tuple[VerificationReport, ClassificationResult]:
     """The fully traversable pairs isomorphic to their state graph are
-    exactly the downward trees carrying the root-2-or-3 assignment."""
+    exactly the downward trees carrying the root-2-or-3 assignment, counting
+    only the assignments within the pebble cap: the scan reaches no other."""
+    if vertex_cap == 0:  # a negative cap is the enumeration's error
+        raise GraphError("vertex cap must be at least 1, got 0")
     result = search_isomorphic_pairs(vertex_cap, pebble_cap, ft_filter=True, shards=shards)
     found = {canonical_pair_key(p.graph, p.counts) for p in result.pairs}
     expected = set()
@@ -494,7 +497,8 @@ def verify_sec_6(
             continue
         for root_pebbles in (2, 3):
             a = tree_assignment(tree, root_pebbles)
-            expected.add(canonical_pair_key(tree, a.counts))
+            if max(a.counts) <= pebble_cap:
+                expected.add(canonical_pair_key(tree, a.counts))
     verdict = HOLDS if found == expected else COUNTEREXAMPLE
     report = VerificationReport(
         "sec-6",
@@ -854,24 +858,32 @@ def construct_thm_8_1(
 # -- claim registry -----------------------------------------------------------
 
 
+# kind -> (assignment builder, the keys it reads after n, in argument order,
+# with their defaults)
+_PATH_SPECS = {
+    "simple": (simple_assignment, {"src": 2, "sink": 0}),
+    "nearsink": (near_sink_assignment, {"k": 0, "sink": 0, "fill": 1}),
+    "heavystep": (heavy_step_assignment, {"p": 1, "heavy": 4, "sink": 0, "fill": 1}),
+}
+
+
 def parse_path_spec(spec: str) -> tuple[OrientedGraph, Assignment]:
     """Build a pebbled path from a spec like ``simple:n=3,src=2,sink=0``,
     ``nearsink:n=3,k=4`` or ``heavystep:n=4,p=1,heavy=4``."""
     kind, _, rest = spec.partition(":")
+    if kind not in _PATH_SPECS:
+        raise GraphError(f"unknown path spec kind {kind!r}")
+    assign, defaults = _PATH_SPECS[kind]
     try:
         kv = {k: int(v) for k, v in (item.split("=", 1) for item in rest.split(",") if item)}
     except ValueError as exc:
         raise GraphError(f"bad path spec {spec!r}: {exc}") from None
+    unread = [k for k in kv if k != "n" and k not in defaults]
+    if unread:
+        keys = ", ".join(["n", *defaults])
+        raise GraphError(f"path spec kind {kind!r} does not read {unread[0]!r}; it reads {keys}")
     path = oriented_path(kv.get("n", 0))
-    if kind == "simple":
-        return path, simple_assignment(path, kv.get("src", 2), kv.get("sink", 0))
-    if kind == "nearsink":
-        return path, near_sink_assignment(path, kv.get("k", 0), kv.get("sink", 0), kv.get("fill", 1))
-    if kind == "heavystep":
-        return path, heavy_step_assignment(
-            path, kv.get("p", 1), kv.get("heavy", 4), kv.get("sink", 0), kv.get("fill", 1)
-        )
-    raise GraphError(f"unknown path spec kind {kind!r}")
+    return path, assign(path, *(kv.get(k, d) for k, d in defaults.items()))
 
 
 def _thm_5_1_on_instance(input: str, state_budget: int) -> VerificationReport:

@@ -111,6 +111,15 @@ def test_verify_instance_claims(tmp_path, capsys):
     assert main(["verify", "cor-1.1", "--input", str(heavy)]) == 1
 
 
+def test_verify_sec_6_below_pebble_cap_3_expects_only_reachable_trees(capsys):
+    # the root-3 tree assignments lie beyond the scan at these caps
+    for cap, expected in (("2", 3), ("1", 0)):
+        code = main(["verify", "sec-6", "--vertex-cap", "3", "--pebble-cap", cap, "--format", "json"])
+        assert code == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["expected_pairs"] == stats["found_pairs"] == expected
+
+
 def test_verify_random_trees_batch(capsys):
     code = main(
         ["verify", "thm-5.1", "--random-trees", "20", "--max-vertices", "8",
@@ -226,6 +235,9 @@ def _exit_code(argv: list[str]) -> int:
         (["verify", "thm-7.1", "--sweep", "--max-length", "1"], "max length must be at least 2, got 1"),
         (["verify", "lem-7.1", "--sweep", "--max-k", "-3"], "max k must be at least 2, got -3"),
         (["verify", "lem-7.2", "--sweep", "--max-n", "0"], "max n must be at least 3, got 0"),
+        (["verify", "sec-6", "--vertex-cap", "0", "--pebble-cap", "3"], "vertex cap must be at least 1, got 0"),
+        (["verify", "cor-7.1", "--factor", "simple:n=3,src=2,sinks=5"], "does not read 'sinks'"),
+        (["verify", "cor-7.1", "--factor", "bogus"], "unknown path spec kind 'bogus'"),
     ],
 )
 def test_verify_usage_errors_exit_2(capsys, argv, message):

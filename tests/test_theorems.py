@@ -680,6 +680,9 @@ def test_no_fully_traversable_pair_contains_a_downward_4_cycle():
 def test_shards_give_identical_results():
     runs = (
         lambda shards: search_isomorphic_pairs(3, 3, shards=shards),
+        lambda shards: search_isomorphic_pairs(3, 3, ft_filter=True, shards=shards),
+        lambda shards: search_isomorphic_pairs(3, 3, ft_filter=False, shards=shards),
+        lambda shards: search_isomorphic_pairs(4, 2, shards=shards),
         lambda shards: classify_downward_4_cycle(4, shards=shards),
     )
     for run in runs:
@@ -687,3 +690,23 @@ def test_shards_give_identical_results():
         assert single["pairs"]
         for shards in (2, 3):
             assert run(shards).to_json_obj() == single
+    single = verify_thm_3_1(6, 3).to_json_obj()
+    for shards in (2, 3):
+        assert verify_thm_3_1(6, 3, shards=shards).to_json_obj() == single
+
+
+def test_a_sharded_scan_opens_one_process_pool(monkeypatch):
+    import pebblab.classify as classify
+
+    opened = []
+
+    class CountingPool(classify.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", CountingPool)
+    single = search_isomorphic_pairs(3, 3, shards=1)
+    assert opened == []
+    assert search_isomorphic_pairs(3, 3, shards=2).to_json_obj() == single.to_json_obj()
+    assert len(opened) == 1  # one pool for all 10 graph classes, not one per class
