@@ -10,12 +10,13 @@ results merge deterministically by that index.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Iterator
 
-from .assignment_graph import build
+from .assignment_graph import AssignmentGraph, build
 from .errors import AssignmentError, StateBudgetExceededError
 from .generate import enumerate_oriented_graphs
 from .graphs import OrientedGraph, downward_cycle
@@ -35,19 +36,20 @@ def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | Non
     moves, and more than |V(g)| states already rules the isomorphism out,
     so the builder runs with |V(g)| as its cap.
     """
-    n = len(g.vertices)
-    if n == 0:
-        return None
     sources = g.sources()
-    if len(sources) != 1:
-        return None
-    if len(a.legal_moves()) != g.valence(sources[0]):
+    if len(sources) != 1 or len(a.legal_moves()) != g.valence(sources[0]):
         return None
     try:
-        ag = build(g, a, state_budget=n)
+        ag = build(g, a, state_budget=len(g.vertices))
     except StateBudgetExceededError:
         return None
-    if len(ag.states) != n or len(ag.edges) != len(g.edges):
+    return built_isomorphism(g, ag)
+
+
+def built_isomorphism(g: OrientedGraph, ag: AssignmentGraph) -> IsoMapping | None:
+    """Witness that ``g`` is isomorphic to the built state graph ``ag``, or
+    ``None``; counts are compared first, so a mismatch names no state."""
+    if len(ag.states) != len(g.vertices) or len(ag.edges) != len(g.edges):
         return None
     return digraph_isomorphic(g, ag.as_oriented_graph())
 
@@ -78,7 +80,7 @@ def iter_assignments(
 
 
 def _scan_shard(
-    graphs: list[OrientedGraph], pebble_cap: int, ft_filter: bool | None, shard: int, shards: int
+    graphs: list[OrientedGraph], pebble_cap: int, shard: int, shards: int
 ) -> tuple[list[Hit], int]:
     """Scan every ``shards``-th pair from ``shard`` on of the stream that
     numbers each graph's assignments after those of the graphs before it.
@@ -91,11 +93,8 @@ def _scan_shard(
         n = len(g.vertices)
         for idx, a in iter_assignments(g, pebble_cap, (shard - offset) % shards, shards):
             scanned += 1
-            if state_graph_isomorphism(g, a) is None:
-                continue
-            ft = build(g, a, state_budget=n).is_fully_traversable()
-            if ft_filter is None or ft == ft_filter:
-                hits.append((pos, idx, a.counts, ft))
+            if state_graph_isomorphism(g, a) is not None:
+                hits.append((pos, idx, a.counts, build(g, a, state_budget=n).is_fully_traversable()))
         offset += (pebble_cap + 1) ** (n - len(g.sinks()))
     return hits, scanned
 
@@ -105,17 +104,17 @@ def _scan_shard_worker(args) -> tuple[list[Hit], int]:
 
 
 def scan_graph_assignments(
-    graphs: list[OrientedGraph], pebble_cap: int, ft_filter: bool | None = None, shards: int = 1
+    graphs: list[OrientedGraph], pebble_cap: int, shards: int = 1
 ) -> tuple[list[Hit], int]:
     """One scan over the joint assignment space of ``graphs``: the hits in
     (graph position, index) order and the number of assignments scanned.
-    Several shards share one process pool whose workers rebuild the graphs,
-    which do not pickle."""
+    Several shards share one process pool, of at most one worker per CPU,
+    whose workers rebuild the graphs, which do not pickle."""
     if shards <= 1:
-        return _scan_shard(graphs, pebble_cap, ft_filter, 0, 1)
+        return _scan_shard(graphs, pebble_cap, 0, 1)
     specs = [(g.vertices, g.edges) for g in graphs]
-    args = [(specs, pebble_cap, ft_filter, s, shards) for s in range(shards)]
-    with ProcessPoolExecutor(max_workers=shards) as pool:
+    args = [(specs, pebble_cap, s, shards) for s in range(shards)]
+    with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
         parts = list(pool.map(_scan_shard_worker, args))
     hits = sorted((h for part in parts for h in part[0]), key=lambda h: h[:2])
     return hits, sum(part[1] for part in parts)
@@ -215,11 +214,13 @@ def _classify(
     graphs: list[OrientedGraph], pebble_cap: int, vertex_cap: int | None,
     ft_filter: bool | None, shards: int,
 ) -> ClassificationResult:
-    """Scan ``graphs`` and keep each graph's hits modulo its automorphisms."""
-    hits, scanned = scan_graph_assignments(graphs, pebble_cap, ft_filter, shards)
+    """Scan ``graphs`` and keep each graph's hits whose full traversability
+    is ``ft_filter`` (any if ``None``), modulo its automorphisms."""
+    hits, scanned = scan_graph_assignments(graphs, pebble_cap, shards)
     ft_by_vec: list[dict[tuple[int, ...], bool]] = [{} for _ in graphs]
     for pos, _, vec, ft in hits:
-        ft_by_vec[pos][vec] = ft
+        if ft_filter is None or ft == ft_filter:
+            ft_by_vec[pos][vec] = ft
     pairs = [
         ClassifiedPair(g, vec, found[vec])
         for g, found in zip(graphs, ft_by_vec)

@@ -20,6 +20,7 @@ from itertools import combinations_with_replacement, count, product
 from .assignment_graph import DEFAULT_STATE_BUDGET, AssignmentGraph, build, find_downward_4_cycle
 from .classify import (
     ClassificationResult,
+    built_isomorphism,
     canonical_pair_key,
     classify_downward_4_cycle,
     iter_assignments,
@@ -30,6 +31,7 @@ from .classify import (
 from .errors import BudgetExceededError, EmbeddingNotFoundError, GraphError, UnknownClaimError
 from .generate import enumerate_downward_trees, random_downward_tree
 from .graphs import OrientedGraph, downward_cycle, oriented_complete_bipartite, oriented_path
+# digraph_isomorphic is not called here, but perfbench's tracer patches it here.
 from .iso import (
     DEFAULT_EXPANSION_BUDGET,
     digraph_isomorphic,
@@ -141,7 +143,7 @@ def verify_prop_1_1(
     except BudgetExceededError as exc:
         return _budget_report("prop-1.1", a, exc)
     ft = ag.is_fully_traversable()
-    iso = digraph_isomorphic(g, ag.as_oriented_graph())
+    iso = built_isomorphism(g, ag)
     stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
     if not ft or iso is None:
         return _instance_report("prop-1.1", a, HYPOTHESIS_NOT_MET, stats=stats)
@@ -168,7 +170,7 @@ def verify_cor_1_1(
     except BudgetExceededError as exc:
         return _budget_report("cor-1.1", a, exc)
     ft = ag.is_fully_traversable()
-    iso = digraph_isomorphic(g, ag.as_oriented_graph())
+    iso = built_isomorphism(g, ag)
     stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
     if not ft or iso is None:
         return _instance_report("cor-1.1", a, HYPOTHESIS_NOT_MET, stats=stats)
@@ -197,7 +199,7 @@ def verify_cor_1_2(
     except BudgetExceededError as exc:
         return _budget_report("cor-1.2", a, exc)
     ft = ag.is_fully_traversable()
-    iso = digraph_isomorphic(g, ag.as_oriented_graph())
+    iso = built_isomorphism(g, ag)
     stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
     if not g.edges or ft or iso is None:
         return _instance_report("cor-1.2", a, HYPOTHESIS_NOT_MET, stats=stats)
@@ -293,26 +295,32 @@ def check_thm_2_1(
     return _instance_report("thm-2.1", a, HOLDS, stats=stats)
 
 
+def _never_isomorphic(
+    claim: str, g: OrientedGraph, a: Assignment, state_budget: int, premise: str, met: bool
+) -> VerificationReport:
+    """Fully traversable on a graph with a structural premise (``premise`` in
+    the stats, ``met`` if it holds) means never isomorphic to the state graph."""
+    try:
+        ag = build(g, a, state_budget)
+    except BudgetExceededError as exc:
+        return _budget_report(claim, a, exc)
+    ft = ag.is_fully_traversable()
+    stats = {"states": len(ag.states), premise: met, "fully_traversable": ft}
+    if not met or not ft:
+        return _instance_report(claim, a, HYPOTHESIS_NOT_MET, stats=stats)
+    iso = built_isomorphism(g, ag)
+    if iso is None:
+        return _instance_report(claim, a, HOLDS, stats=stats)
+    return _instance_report(claim, a, COUNTEREXAMPLE, stats=stats, witness=iso.to_json_obj())
+
+
 def verify_thm_2_2(
     g: OrientedGraph, a: Assignment, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> VerificationReport:
     """A graph containing a downward 4-cycle with a fully traversable
     assignment is never isomorphic to its state graph."""
-    pattern = find_downward_4_cycle(g)
-    try:
-        ag = build(g, a, state_budget)
-    except BudgetExceededError as exc:
-        return _budget_report("thm-2.2", a, exc)
-    ft = ag.is_fully_traversable()
-    stats = {"states": len(ag.states), "has_downward_4_cycle": pattern is not None, "fully_traversable": ft}
-    if pattern is None or not ft:
-        return _instance_report("thm-2.2", a, HYPOTHESIS_NOT_MET, stats=stats)
-    iso = digraph_isomorphic(g, ag.as_oriented_graph())
-    if iso is None:
-        return _instance_report("thm-2.2", a, HOLDS, stats=stats)
-    return _instance_report(
-        "thm-2.2", a, COUNTEREXAMPLE, stats=stats, witness=iso.to_json_obj()
-    )
+    met = find_downward_4_cycle(g) is not None
+    return _never_isomorphic("thm-2.2", g, a, state_budget, "has_downward_4_cycle", met)
 
 
 def verify_cor_2_1(
@@ -346,7 +354,7 @@ def verify_thm_3_1(
     if k <= 4 or k % 2:
         raise GraphError(f"k must be even and greater than 4, got {k}")
     g = downward_cycle(k)
-    hits, scanned = scan_graph_assignments([g], pebble_cap, ft_filter=None, shards=shards)
+    hits, scanned = scan_graph_assignments([g], pebble_cap, shards=shards)
     stats = {"k": k, "pebble_cap": pebble_cap, "scanned": scanned, "isomorphic_found": len(hits)}
     report = VerificationReport(
         "thm-3.1",
@@ -368,19 +376,8 @@ def verify_thm_4_1(
 ) -> VerificationReport:
     """A fully traversable graph whose shadow contains a cycle is never
     isomorphic to its state graph."""
-    try:
-        ag = build(g, a, state_budget)
-    except BudgetExceededError as exc:
-        return _budget_report("thm-4.1", a, exc)
-    ft = ag.is_fully_traversable()
-    cyclic = g.underlying_has_cycle()
-    stats = {"states": len(ag.states), "fully_traversable": ft, "underlying_cycle": cyclic}
-    if not ft or not cyclic:
-        return _instance_report("thm-4.1", a, HYPOTHESIS_NOT_MET, stats=stats)
-    iso = digraph_isomorphic(g, ag.as_oriented_graph())
-    if iso is None:
-        return _instance_report("thm-4.1", a, HOLDS, stats=stats)
-    return _instance_report("thm-4.1", a, COUNTEREXAMPLE, stats=stats, witness=iso.to_json_obj())
+    met = g.underlying_has_cycle()
+    return _never_isomorphic("thm-4.1", g, a, state_budget, "underlying_cycle", met)
 
 
 # -- section 5: downward trees ------------------------------------------------
@@ -405,7 +402,7 @@ def verify_thm_5_1(
         ag = build(tree, a, state_budget)
     except BudgetExceededError as exc:
         return _budget_report("thm-5.1", a, exc)
-    iso = digraph_isomorphic(tree, ag.as_oriented_graph())
+    iso = built_isomorphism(tree, ag)
     explicit_ok = _explicit_tree_map_is_isomorphism(tree, ag)
     stats = {
         "states": len(ag.states),
@@ -665,9 +662,7 @@ def verify_lemma_7_2(
     stats = {"n": n, "position": position, "heavy": heavy, "traversed_edges": traversed}
     if traversed != n - 2:
         return _instance_report("lem-7.2", a, HYPOTHESIS_NOT_MET, params, stats=stats)
-    iso = None
-    if len(ag.states) == n and len(ag.edges) == n - 1:
-        iso = digraph_isomorphic(path, ag.as_oriented_graph())
+    iso = built_isomorphism(path, ag)
     return _instance_report(
         "lem-7.2",
         a,
@@ -875,9 +870,13 @@ def parse_path_spec(spec: str) -> tuple[OrientedGraph, Assignment]:
         raise GraphError(f"unknown path spec kind {kind!r}")
     assign, defaults = _PATH_SPECS[kind]
     try:
-        kv = {k: int(v) for k, v in (item.split("=", 1) for item in rest.split(",") if item)}
+        items = [(k, int(v)) for k, v in (item.split("=", 1) for item in rest.split(",") if item)]
     except ValueError as exc:
         raise GraphError(f"bad path spec {spec!r}: {exc}") from None
+    kv = dict(items)
+    repeated = [k for k, c in Counter(k for k, _ in items).items() if c > 1]
+    if repeated:
+        raise GraphError(f"path spec {spec!r} repeats the key {repeated[0]!r}")
     unread = [k for k in kv if k != "n" and k not in defaults]
     if unread:
         keys = ", ".join(["n", *defaults])

@@ -26,6 +26,10 @@ seeded its colors with: each vertex's shortest distance from a source.
 
 ``reference_count_vectors`` is the earlier base conversion behind
 ``classify.iter_count_vectors``, which must yield exactly its sequence.
+
+``reference_built_isomorphism`` is the earlier direct test of a graph
+against its built state graph, which named every state before comparing any
+count; ``classify.built_isomorphism`` must return the same witness.
 """
 
 from __future__ import annotations
@@ -33,7 +37,13 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations, product
 
-from pebblab import Assignment, OrientedGraph, StateBudgetExceededError, canonical_form
+from pebblab import (
+    Assignment,
+    OrientedGraph,
+    StateBudgetExceededError,
+    canonical_form,
+    digraph_isomorphic,
+)
 
 
 def naive_state_space(g: OrientedGraph, counts: tuple[int, ...]):
@@ -380,3 +390,7 @@ def reference_count_vectors(length: int, cap: int, shard: int = 0, shards: int =
             vec.append(x % base)
             x //= base
         yield idx, tuple(vec)
+
+
+def reference_built_isomorphism(g: OrientedGraph, ag):
+    return digraph_isomorphic(g, ag.as_oriented_graph())

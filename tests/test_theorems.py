@@ -44,7 +44,7 @@ from array import array
 
 from pebblab import theorems
 from pebblab.assignment_graph import AssignmentGraph
-from pebblab.classify import iter_count_vectors
+from pebblab.classify import built_isomorphism, iter_assignments, iter_count_vectors
 from pebblab.generate import enumerate_oriented_graphs, random_assignment, random_oriented_graph
 from pebblab.pebbling import near_sink_assignment
 from pebblab.theorems import (
@@ -62,7 +62,13 @@ from pebblab.theorems import (
     verify_thm_7_1_sweep,
 )
 from conftest import corpus_instances, star_tree
-from oracles import ReferenceAssignmentGraph, reference_build, reference_count_vectors, reference_thm_2_1
+from oracles import (
+    ReferenceAssignmentGraph,
+    reference_build,
+    reference_built_isomorphism,
+    reference_count_vectors,
+    reference_thm_2_1,
+)
 
 
 # -- prop 1.1 and its corollaries ---------------------------------------------
@@ -695,6 +701,32 @@ def test_shards_give_identical_results():
         assert verify_thm_3_1(6, 3, shards=shards).to_json_obj() == single
 
 
+def test_a_sharded_scan_opens_at_most_one_worker_per_cpu(monkeypatch):
+    import os
+
+    import pebblab.classify as classify
+
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", InlinePool)
+    single = search_isomorphic_pairs(3, 3, ft_filter=True, shards=1).to_json_obj()
+    assert search_isomorphic_pairs(3, 3, ft_filter=True, shards=64).to_json_obj() == single
+    assert opened == [min(64, os.cpu_count() or 1)]
+
+
 def test_a_sharded_scan_opens_one_process_pool(monkeypatch):
     import pebblab.classify as classify
 
@@ -710,3 +742,51 @@ def test_a_sharded_scan_opens_one_process_pool(monkeypatch):
     assert opened == []
     assert search_isomorphic_pairs(3, 3, shards=2).to_json_obj() == single.to_json_obj()
     assert len(opened) == 1  # one pool for all 10 graph classes, not one per class
+
+
+# -- one test of a graph against its built state graph ------------------------
+
+C4_TOP_4 = Assignment(downward_cycle(4), {"top": 4})  # 7 states on 4 vertices
+
+# Reports frozen from the earlier direct isomorphism call on instances whose
+# state graph has more states than the graph has vertices.  The lem-7.2
+# instance has 5 states on 4 vertices and fails the traversal gate: the
+# instances up to 7 vertices that pass it all have exactly n states.
+LARGER_STATE_GRAPHS = [
+    (verify_prop_1_1, (C4_TOP_4.graph, C4_TOP_4), HYPOTHESIS_NOT_MET,
+     {"states": 7, "fully_traversable": True, "isomorphic": False}),
+    (verify_cor_1_1, (C4_TOP_4.graph, C4_TOP_4), HYPOTHESIS_NOT_MET,
+     {"states": 7, "fully_traversable": True, "isomorphic": False}),
+    (verify_cor_1_2, (C4_TOP_4.graph, C4_TOP_4), HYPOTHESIS_NOT_MET,
+     {"states": 7, "fully_traversable": True, "isomorphic": False}),
+    (verify_thm_4_1, (C4_TOP_4.graph, C4_TOP_4), HOLDS,
+     {"states": 7, "fully_traversable": True, "underlying_cycle": True}),
+    (verify_lemma_7_2, (4, 1, 5, 3, {"a3": 1}), HYPOTHESIS_NOT_MET,
+     {"n": 4, "position": 1, "heavy": 5, "traversed_edges": 3}),
+]
+
+
+@pytest.mark.parametrize("check, args, verdict, stats", LARGER_STATE_GRAPHS)
+def test_a_larger_state_graph_is_never_named(monkeypatch, check, args, verdict, stats):
+    def refuse(self):
+        raise AssertionError("as_oriented_graph called on a state graph of another size")
+
+    monkeypatch.setattr(AssignmentGraph, "as_oriented_graph", refuse)
+    report = check(*args)
+    assert (report.verdict, report.stats, report.witness) == (verdict, stats, None)
+
+
+def test_built_isomorphism_matches_the_direct_call():
+    compared = found = 0
+    for g in enumerate_oriented_graphs(4):
+        for _, a in iter_assignments(g, 2):
+            ag = build(g, a)
+            expected = reference_built_isomorphism(g, ag)
+            got = built_isomorphism(g, ag)
+            if expected is None:
+                assert got is None, (g, a.counts)
+            else:
+                assert got is not None and got.pairs == expected.pairs, (g, a.counts)
+                found += 1
+            compared += 1
+    assert found > 0 and compared > found
