@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .assignment_graph import AssignmentGraph, build
 from .errors import AssignmentError, StateBudgetExceededError
@@ -37,7 +37,11 @@ def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | Non
     so the builder runs with |V(g)| as its cap.
     """
     sources = g.sources()
-    if len(sources) != 1 or len(a.legal_moves()) != g.valence(sources[0]):
+    if len(sources) != 1:
+        return None
+    # The legal moves of a, counted without listing them.
+    moves = sum(d for c, d in zip(a.counts, g.valences()) if c >= 2)
+    if moves != g.valence(sources[0]):
         return None
     try:
         ag = build(g, a, state_budget=len(g.vertices))
@@ -54,16 +58,31 @@ def built_isomorphism(g: OrientedGraph, ag: AssignmentGraph) -> IsoMapping | Non
     return digraph_isomorphic(g, ag.as_oriented_graph())
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise AssignmentError(f"pebble cap must be non-negative, got {cap}")
+
+
+def _numbered(
+    free: Sequence[int], cap: int, shard: int, shards: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(index, vector) over the vectors with entry i in [0, cap] where
+    ``free[i]`` is truthy and 0 elsewhere, striding by ``shards`` starting
+    at ``shard``.  The index reads the free entries as a base-(cap+1)
+    number whose first entry is the lowest digit."""
+    _check_cap(cap)
+    ranges = [range(cap + 1) if f else (0,) for f in reversed(free)]
+    numbered = islice(enumerate(product(*ranges)), shard, None, shards)
+    return ((idx, digits[::-1]) for idx, digits in numbered)
+
+
 def iter_count_vectors(
     length: int, cap: int, shard: int = 0, shards: int = 1
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(index, vector) over all count vectors in [0, cap]^length, striding
     by ``shards`` starting at ``shard``.  The index is the vector read as a
     base-(cap+1) number whose first entry is the lowest digit."""
-    if cap < 0:
-        raise AssignmentError(f"pebble cap must be non-negative, got {cap}")
-    numbered = islice(enumerate(product(range(cap + 1), repeat=length)), shard, None, shards)
-    return ((idx, digits[::-1]) for idx, digits in numbered)
+    return _numbered([1] * length, cap, shard, shards)
 
 
 def iter_assignments(
@@ -71,12 +90,8 @@ def iter_assignments(
 ) -> Iterator[tuple[int, Assignment]]:
     """(index, assignment) with the `iter_count_vectors` entries on the
     non-sink vertices, in vertex order, and zero on every sink."""
-    non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
-    counts = [0] * len(g.vertices)
-    for idx, vec in iter_count_vectors(len(non_sink), cap, shard, shards):
-        for pos, c in zip(non_sink, vec):
-            counts[pos] = c
-        yield idx, Assignment(g, counts)
+    make = Assignment._of_counts
+    return ((idx, make(g, counts)) for idx, counts in _numbered(g.valences(), cap, shard, shards))
 
 
 def _scan_shard(
@@ -110,6 +125,7 @@ def scan_graph_assignments(
     (graph position, index) order and the number of assignments scanned.
     Several shards share one process pool, of at most one worker per CPU,
     whose workers rebuild the graphs, which do not pickle."""
+    _check_cap(pebble_cap)
     if shards <= 1:
         return _scan_shard(graphs, pebble_cap, 0, 1)
     specs = [(g.vertices, g.edges) for g in graphs]
@@ -244,6 +260,7 @@ def search_isomorphic_pairs(
     """Scan every oriented graph up to ``vertex_cap`` vertices (one per
     isomorphism class) against every assignment with non-sink counts up to
     ``pebble_cap`` and keep the pairs isomorphic to their state graph."""
+    _check_cap(pebble_cap)
     graphs = enumerate_oriented_graphs(vertex_cap)
     result = _classify(graphs, pebble_cap, vertex_cap, ft_filter, shards)
     result.stats["graph_classes"] = len(graphs)

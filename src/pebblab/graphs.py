@@ -24,7 +24,9 @@ from .errors import (
 class OrientedGraph:
     """Immutable oriented graph over named vertices."""
 
-    __slots__ = ("vertices", "edges", "_index", "_out", "_in")
+    # _sources and _valences are filled on first use, so graphs that never
+    # ask for them (state graphs handed to the isomorphism test) pay nothing.
+    __slots__ = ("vertices", "edges", "_index", "_out", "_in", "_sources", "_valences")
 
     def __init__(
         self,
@@ -106,9 +108,21 @@ class OrientedGraph:
         """Out-degree of ``v``: the number of edges that start there."""
         return len(self.out_neighbors(v))
 
+    def valences(self) -> tuple[int, ...]:
+        """Out-degree of every vertex, in declaration order."""
+        try:
+            return self._valences
+        except AttributeError:
+            object.__setattr__(self, "_valences", tuple(len(self._out[v]) for v in self.vertices))
+            return self._valences
+
     def sources(self) -> tuple[str, ...]:
         """Vertices with no incoming edge, in declaration order."""
-        return tuple(v for v in self.vertices if not self._in[v])
+        try:
+            return self._sources
+        except AttributeError:
+            object.__setattr__(self, "_sources", tuple(v for v in self.vertices if not self._in[v]))
+            return self._sources
 
     def sinks(self) -> tuple[str, ...]:
         """Vertices with valence zero, in declaration order."""

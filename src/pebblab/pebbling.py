@@ -9,10 +9,18 @@ in the state-graph builder.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping, Sequence
 
 from .errors import AssignmentError, IllegalMoveError
 from .graphs import OrientedGraph, product_vertex_name, cartesian_product
+
+
+def _count(v: str, c) -> int:
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise AssignmentError(f"pebble count for {v!r} must be an integer, got {c!r}") from None
 
 
 class Assignment:
@@ -24,17 +32,27 @@ class Assignment:
         if isinstance(pebbles, Mapping):
             for name in pebbles:
                 graph.index(name)
-            counts = tuple(int(pebbles.get(v, 0)) for v in graph.vertices)
+            given = [pebbles.get(v, 0) for v in graph.vertices]
         else:
-            counts = tuple(int(c) for c in pebbles)
-            if len(counts) != len(graph.vertices):
+            given = list(pebbles)
+            if len(given) != len(graph.vertices):
                 raise AssignmentError(
-                    f"expected {len(graph.vertices)} counts, got {len(counts)}"
+                    f"expected {len(graph.vertices)} counts, got {len(given)}"
                 )
+        counts = tuple(_count(v, c) for v, c in zip(graph.vertices, given))
         if any(c < 0 for c in counts):
             raise AssignmentError("pebble counts must be non-negative")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _of_counts(cls, graph: OrientedGraph, counts: tuple[int, ...]) -> "Assignment":
+        """Unchecked constructor for a scan's own vectors: ``counts`` must
+        already be a tuple of non-negative ints, one per vertex of ``graph``."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "graph", graph)
+        object.__setattr__(a, "counts", counts)
+        return a
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Assignment is immutable")

@@ -27,6 +27,16 @@ seeded its colors with: each vertex's shortest distance from a source.
 ``reference_count_vectors`` is the earlier base conversion behind
 ``classify.iter_count_vectors``, which must yield exactly its sequence.
 
+``reference_iter_assignments`` is the earlier per-graph scan order: each
+``classify.iter_count_vectors`` vector scattered onto the non-sink vertices
+of one reused list and passed through the checking ``Assignment``
+constructor.  ``classify.iter_assignments`` must yield the same numbered
+count vectors, as equal assignments.
+
+``reference_state_graph_isomorphism`` is the earlier pair test, which
+counted the initial legal moves by listing them;
+``classify.state_graph_isomorphism`` must return the same witness.
+
 ``reference_built_isomorphism`` is the earlier direct test of a graph
 against its built state graph, which named every state before comparing any
 count; ``classify.built_isomorphism`` must return the same witness.
@@ -41,9 +51,11 @@ from pebblab import (
     Assignment,
     OrientedGraph,
     StateBudgetExceededError,
+    build,
     canonical_form,
     digraph_isomorphic,
 )
+from pebblab.classify import built_isomorphism, iter_count_vectors
 
 
 def naive_state_space(g: OrientedGraph, counts: tuple[int, ...]):
@@ -394,3 +406,23 @@ def reference_count_vectors(length: int, cap: int, shard: int = 0, shards: int =
 
 def reference_built_isomorphism(g: OrientedGraph, ag):
     return digraph_isomorphic(g, ag.as_oriented_graph())
+
+
+def reference_iter_assignments(g: OrientedGraph, cap: int, shard: int = 0, shards: int = 1):
+    non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
+    counts = [0] * len(g.vertices)
+    for idx, vec in iter_count_vectors(len(non_sink), cap, shard, shards):
+        for pos, c in zip(non_sink, vec):
+            counts[pos] = c
+        yield idx, Assignment(g, counts)
+
+
+def reference_state_graph_isomorphism(g: OrientedGraph, a: Assignment):
+    sources = g.sources()
+    if len(sources) != 1 or len(a.legal_moves()) != g.valence(sources[0]):
+        return None
+    try:
+        ag = build(g, a, state_budget=len(g.vertices))
+    except StateBudgetExceededError:
+        return None
+    return built_isomorphism(g, ag)

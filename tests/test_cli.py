@@ -239,6 +239,7 @@ def _exit_code(argv: list[str]) -> int:
         (["verify", "cor-7.1", "--factor", "simple:n=3,src=2,sinks=5"], "does not read 'sinks'"),
         (["verify", "cor-7.1", "--factor", "bogus"], "unknown path spec kind 'bogus'"),
         (["verify", "cor-7.1", "--factor", "simple:n=3,n=2,src=2"], "repeats the key 'n'"),
+        (["search", "--max-vertices", "0", "--pebble-cap", "-1"], "pebble cap must be non-negative"),
     ],
 )
 def test_verify_usage_errors_exit_2(capsys, argv, message):

@@ -121,6 +121,22 @@ def test_valence_sums_to_edge_count(small_graphs):
         assert sum(g.valence(v) for v in g.vertices) == len(g.edges)
 
 
+def test_cached_facts_leave_the_graph_immutable_and_equal(small_graphs):
+    for _, g in small_graphs:
+        twin = new_graph(g.vertices, g.edges)
+        before = hash(g)
+        sources, valences = g.sources(), tuple(g.valence(v) for v in g.vertices)
+        assert sources == tuple(v for v in g.vertices if all(w != v for _, w in g.edges))
+        assert valences == tuple(sum(u == v for u, _ in g.edges) for v in g.vertices)
+        assert g.valences() == valences and g.sources() is sources
+        assert g == twin and hash(g) == before == hash(twin)
+        with pytest.raises(AttributeError):
+            g._sources = ()
+        with pytest.raises(AttributeError):
+            g.edges = ()
+        assert g.sources() == sources and g.valences() == valences
+
+
 def test_sources_sinks_edgeless():
     g = new_graph(["a", "b", "c"])
     assert g.sources() == ("a", "b", "c")

@@ -35,6 +35,17 @@ def test_assignment_rejects_negative_and_bad_length():
         Assignment(g, [1, 1, 1])
 
 
+def test_assignment_rejects_non_integer_counts():
+    g = oriented_path(2)
+    with pytest.raises(AssignmentError, match="'a1' must be an integer, got 2.9"):
+        Assignment(g, [2.9, True])
+    with pytest.raises(AssignmentError, match="'a2' must be an integer, got '3'"):
+        Assignment(g, {"a2": "3"})
+    with pytest.raises(AssignmentError, match="'a2' must be an integer, got None"):
+        Assignment(g, [1, None])
+    assert Assignment(g, [2, True]).counts == (2, 1)
+
+
 def test_is_movable():
     c4 = downward_cycle(4)
     a = Assignment(c4, {"l1": 2, "bottom": 10})

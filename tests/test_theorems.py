@@ -44,7 +44,7 @@ from array import array
 
 from pebblab import theorems
 from pebblab.assignment_graph import AssignmentGraph
-from pebblab.classify import built_isomorphism, iter_assignments, iter_count_vectors
+from pebblab.classify import built_isomorphism, iter_assignments, iter_count_vectors, state_graph_isomorphism
 from pebblab.generate import enumerate_oriented_graphs, random_assignment, random_oriented_graph
 from pebblab.pebbling import near_sink_assignment
 from pebblab.theorems import (
@@ -67,6 +67,8 @@ from oracles import (
     reference_build,
     reference_built_isomorphism,
     reference_count_vectors,
+    reference_iter_assignments,
+    reference_state_graph_isomorphism,
     reference_thm_2_1,
 )
 
@@ -483,6 +485,50 @@ def test_count_vectors_match_the_base_conversion():
                     assert got == list(reference_count_vectors(length, cap, shard, shards))
     with pytest.raises(AssignmentError):
         iter_count_vectors(2, -1)
+
+
+def test_iter_assignments_match_the_scatter_over_count_vectors():
+    for g in enumerate_oriented_graphs(4):
+        for cap in range(4):
+            for shards in range(1, 4):
+                for shard in range(shards):
+                    got = list(iter_assignments(g, cap, shard, shards))
+                    want = [(idx, a.counts) for idx, a in reference_iter_assignments(g, cap, shard, shards)]
+                    assert [(idx, a.counts) for idx, a in got] == want, (g, cap, shard, shards)
+                    for _, a in got:
+                        checked = Assignment(g, a.counts)
+                        assert a == checked and hash(a) == hash(checked)
+    with pytest.raises(AssignmentError):
+        iter_assignments(downward_cycle(4), -1)
+
+
+def test_a_negative_pebble_cap_fails_before_any_graph(monkeypatch):
+    import pebblab.classify as classify
+
+    def refuse(*args):
+        raise AssertionError("graphs enumerated before the pebble cap was checked")
+
+    monkeypatch.setattr(classify, "enumerate_oriented_graphs", refuse)
+    for shards in (1, 2):
+        with pytest.raises(AssignmentError, match="pebble cap must be non-negative, got -1"):
+            search_isomorphic_pairs(6, -1, shards=shards)
+        with pytest.raises(AssignmentError, match="pebble cap must be non-negative, got -1"):
+            classify.scan_graph_assignments([], -1, shards=shards)
+
+
+def test_state_graph_isomorphism_matches_the_listed_moves():
+    compared = found = 0
+    for g in enumerate_oriented_graphs(4):
+        for _, a in iter_assignments(g, 3):
+            expected = reference_state_graph_isomorphism(g, a)
+            got = state_graph_isomorphism(g, a)
+            if expected is None:
+                assert got is None, (g, a.counts)
+            else:
+                assert got is not None and got.pairs == expected.pairs, (g, a.counts)
+                found += 1
+            compared += 1
+    assert found > 0 and compared > found
 
 
 # -- thm 8.1 ------------------------------------------------------------------
