@@ -2,10 +2,10 @@
 
 Scans fix every valence-zero vertex at zero pebbles and report it as "any":
 pebbles on a valence-zero vertex never enable or change a move, so each
-finding stands for the whole infinite family over sink counts.  Instance
-spaces are partitioned into shards decoded from one running index over all
-the graphs of a scan, so any shard count yields the same instances, and
-results merge deterministically by that index.
+finding stands for the whole infinite family over sink counts.  Each
+graph numbers its own assignments, and shard s of N takes the indices equal
+to s mod N in every graph, so any shard count yields the same instances, and
+results merge deterministically by (graph position, index).
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice, product
 from typing import Iterator, Sequence
 
 from .assignment_graph import AssignmentGraph, build
-from .errors import AssignmentError, StateBudgetExceededError
+from .errors import AssignmentError, GraphError, StateBudgetExceededError
 from .generate import enumerate_oriented_graphs
 from .graphs import OrientedGraph, downward_cycle
 from .iso import IsoMapping, automorphisms, canonical_labeling, digraph_isomorphic
@@ -95,27 +96,21 @@ def iter_assignments(
 
 
 def _scan_shard(
-    graphs: list[OrientedGraph], pebble_cap: int, shard: int, shards: int
+    graphs: list[OrientedGraph], pebble_cap: int, shard: int = 0, shards: int = 1
 ) -> tuple[list[Hit], int]:
-    """Scan every ``shards``-th pair from ``shard`` on of the stream that
-    numbers each graph's assignments after those of the graphs before it.
-    Hits are (graph position, index, full count vector, fully_traversable)
-    for every assignment whose state graph is isomorphic to its graph."""
+    """Scan, in every graph, the assignments whose index is ``shard`` mod
+    ``shards``.  Hits are (graph position, index, full count vector,
+    fully_traversable) for every assignment whose state graph is isomorphic
+    to its graph."""
     hits: list[Hit] = []
     scanned = 0
-    offset = 0
     for pos, g in enumerate(graphs):
         n = len(g.vertices)
-        for idx, a in iter_assignments(g, pebble_cap, (shard - offset) % shards, shards):
+        for idx, a in iter_assignments(g, pebble_cap, shard, shards):
             scanned += 1
             if state_graph_isomorphism(g, a) is not None:
                 hits.append((pos, idx, a.counts, build(g, a, state_budget=n).is_fully_traversable()))
-        offset += (pebble_cap + 1) ** (n - len(g.sinks()))
     return hits, scanned
-
-
-def _scan_shard_worker(args) -> tuple[list[Hit], int]:
-    return _scan_shard([OrientedGraph(*spec) for spec in args[0]], *args[1:])
 
 
 def scan_graph_assignments(
@@ -123,15 +118,14 @@ def scan_graph_assignments(
 ) -> tuple[list[Hit], int]:
     """One scan over the joint assignment space of ``graphs``: the hits in
     (graph position, index) order and the number of assignments scanned.
-    Several shards share one process pool, of at most one worker per CPU,
-    whose workers rebuild the graphs, which do not pickle."""
+    Several shards run as at most one worker process per CPU, each scanning
+    one residue class of every graph's assignment indices."""
     _check_cap(pebble_cap)
-    if shards <= 1:
-        return _scan_shard(graphs, pebble_cap, 0, 1)
-    specs = [(g.vertices, g.edges) for g in graphs]
-    args = [(specs, pebble_cap, s, shards) for s in range(shards)]
-    with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
-        parts = list(pool.map(_scan_shard_worker, args))
+    workers = min(shards, os.cpu_count() or 1) if shards > 1 else 1
+    if workers == 1:
+        return _scan_shard(graphs, pebble_cap)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(partial(_scan_shard, graphs, pebble_cap, shards=workers), range(workers)))
     hits = sorted((h for part in parts for h in part[0]), key=lambda h: h[:2])
     return hits, sum(part[1] for part in parts)
 
@@ -261,6 +255,8 @@ def search_isomorphic_pairs(
     isomorphism class) against every assignment with non-sink counts up to
     ``pebble_cap`` and keep the pairs isomorphic to their state graph."""
     _check_cap(pebble_cap)
+    if vertex_cap == 0:  # a negative cap is the enumeration's error
+        raise GraphError("vertex cap must be at least 1, got 0")
     graphs = enumerate_oriented_graphs(vertex_cap)
     result = _classify(graphs, pebble_cap, vertex_cap, ft_filter, shards)
     result.stats["graph_classes"] = len(graphs)

@@ -71,6 +71,9 @@ class OrientedGraph:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("OrientedGraph is immutable")
 
+    def __reduce__(self):
+        return OrientedGraph, (self.vertices, self.edges)
+
     def __repr__(self) -> str:
         return f"OrientedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 

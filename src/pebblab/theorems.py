@@ -484,8 +484,6 @@ def verify_sec_6(
     """The fully traversable pairs isomorphic to their state graph are
     exactly the downward trees carrying the root-2-or-3 assignment, counting
     only the assignments within the pebble cap: the scan reaches no other."""
-    if vertex_cap == 0:  # a negative cap is the enumeration's error
-        raise GraphError("vertex cap must be at least 1, got 0")
     result = search_isomorphic_pairs(vertex_cap, pebble_cap, ft_filter=True, shards=shards)
     found = {canonical_pair_key(p.graph, p.counts) for p in result.pairs}
     expected = set()

@@ -171,6 +171,152 @@ def test_search_command(capsys):
     assert len(payload["pairs"]) == 2  # one-edge trees with source 2 and 3
 
 
+SEARCH_3_3_TABLE = """\
+7 isomorphic pairs (127 assignments scanned)
+  1v/0e not-ft  v0=any
+  2v/1e ft  v0=2 v1=any
+  2v/1e ft  v0=3 v1=any
+  3v/2e ft  v0=2 v1=any v2=1
+  3v/2e ft  v0=3 v1=any v2=1
+  3v/2e ft  v0=any v1=any v2=2
+  3v/2e ft  v0=any v1=any v2=3
+"""
+
+COR_2_1_CAP_4_TABLE = """\
+claim:    cor-2.1
+instance: downward 4-cycle, non-sink counts up to 4, sink symbolic
+verdict:  holds
+  families: 6
+  scanned: 125
+6 isomorphic pairs (125 assignments scanned)
+  4v/4e not-ft  top=0 l1=2 r1=2 bottom=any
+  4v/4e not-ft  top=1 l1=2 r1=2 bottom=any
+  4v/4e not-ft  top=0 l1=2 r1=3 bottom=any
+  4v/4e not-ft  top=1 l1=2 r1=3 bottom=any
+  4v/4e not-ft  top=0 l1=3 r1=3 bottom=any
+  4v/4e not-ft  top=1 l1=3 r1=3 bottom=any
+"""
+
+
+def test_table_outputs_are_frozen(capsys):
+    assert main(["search", "--max-vertices", "3", "--pebble-cap", "3"]) == 0
+    assert capsys.readouterr().out == SEARCH_3_3_TABLE
+    assert main(["verify", "cor-2.1", "--cap", "4"]) == 0
+    assert capsys.readouterr().out == COR_2_1_CAP_4_TABLE
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (FOUR_CYCLE_ROOT4, "not a downward directed rooted tree"),
+        ("v a 4\nv b 1\nv c 0\ne a b\ne b c\n", "root holds 4 pebbles, needs 2 or 3"),
+    ],
+)
+def test_thm_5_1_input_outside_its_hypothesis(tmp_path, capsys, text, reason):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    assert main(["verify", "thm-5.1", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict:  hypothesis-not-met\n" in out
+    assert f"  reason: {reason}\n" in out
+
+
+# -- what a counterexample to the paper would print ----------------------------
+# No real input reaches these reports, so each test plants a fake result.
+
+
+def _replays_to(report: dict, a) -> None:
+    from pebblab import parse_graph_text
+
+    g, b = parse_graph_text(report["instance_text"])
+    assert g == a.graph and b.as_dict() == a.as_dict()
+
+
+def test_thm_3_1_counterexample_names_the_isomorphic_assignment(capsys, monkeypatch):
+    import pebblab.classify as classify
+    from pebblab import Assignment, downward_cycle
+
+    real = classify.state_graph_isomorphism
+    # the all-zero vector has one state, so the scan's rebuild of it fits
+    monkeypatch.setattr(
+        classify, "state_graph_isomorphism", lambda g, a: real(g, a) if any(a.counts) else "fake"
+    )
+    assert main(["verify", "thm-3.1", "--k", "6", "--cap", "2", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    zero = Assignment(downward_cycle(6), {})
+    assert report["verdict"] == "counterexample"
+    assert report["stats"] == {"k": 6, "pebble_cap": 2, "scanned": 243, "isomorphic_found": 1}
+    assert report["witness"] == {"assignment": zero.as_dict()}
+    _replays_to(report, zero)
+
+
+def test_sec_6_counterexample_counts_unexpected_and_missing_pairs(capsys, monkeypatch):
+    from pebblab import oriented_path, theorems
+    from pebblab.classify import ClassifiedPair
+
+    real = theorems.search_isomorphic_pairs
+
+    def planted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        del result.pairs[0]
+        result.pairs.append(ClassifiedPair(oriented_path(2), (4, 0), True))
+        return result
+
+    monkeypatch.setattr(theorems, "search_isomorphic_pairs", planted)
+    assert main(["verify", "sec-6", "--vertex-cap", "3", "--pebble-cap", "3", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "counterexample"
+    assert report["stats"] == {
+        "scanned": 127,
+        "found_pairs": 6,
+        "expected_pairs": 6,
+        "graph_classes": 10,
+        "unexpected": 1,
+        "missing": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "verdicts, verdict, code",
+    [
+        (["holds", "counterexample", "budget-exceeded", "hypothesis-not-met"], "counterexample", 1),
+        (["holds", "budget-exceeded", "hypothesis-not-met", "holds"], "budget-exceeded", 3),
+        (["hypothesis-not-met"] * 4, "hypothesis-not-met", 0),
+    ],
+)
+def test_a_sweep_reports_its_worst_instance(capsys, monkeypatch, verdicts, verdict, code):
+    from dataclasses import replace
+
+    from pebblab import oriented_path, theorems
+    from pebblab.pebbling import near_sink_assignment
+
+    real, planted = theorems.verify_lemma_7_1, iter(verdicts)
+    reports = []
+
+    def fake(*args, **kwargs):
+        reports.append(replace(real(*args, **kwargs), verdict=next(planted)))
+        return reports[-1]
+
+    monkeypatch.setattr(theorems, "verify_lemma_7_1", fake)
+    assert main(["verify", "lem-7.1", "--sweep", "--max-k", "4", "--format", "json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == verdict
+    assert report["stats"] == {
+        "instances": 4,
+        "holds": verdicts.count("holds"),
+        "hypothesis_not_met": verdicts.count("hypothesis-not-met"),
+        "counterexamples": verdicts.count("counterexample"),
+        "budget_exceeded": verdicts.count("budget-exceeded"),
+    }
+    if verdict == "counterexample":
+        first = reports[verdicts.index("counterexample")]
+        assert report["witness"] == first.witness and first.witness
+        assert report["instance_text"] == first.instance_text
+        _replays_to(report, near_sink_assignment(oriented_path(2), 3, 0, {}))
+    else:
+        assert "witness" not in report and "instance_text" not in report
+
+
 def test_outputs_are_deterministic(tmp_path, capsys, instance_file):
     runs = []
     for _ in range(2):
@@ -240,6 +386,7 @@ def _exit_code(argv: list[str]) -> int:
         (["verify", "cor-7.1", "--factor", "bogus"], "unknown path spec kind 'bogus'"),
         (["verify", "cor-7.1", "--factor", "simple:n=3,n=2,src=2"], "repeats the key 'n'"),
         (["search", "--max-vertices", "0", "--pebble-cap", "-1"], "pebble cap must be non-negative"),
+        (["search", "--max-vertices", "0", "--pebble-cap", "2"], "vertex cap must be at least 1, got 0"),
     ],
 )
 def test_verify_usage_errors_exit_2(capsys, argv, message):

@@ -137,6 +137,20 @@ def test_cached_facts_leave_the_graph_immutable_and_equal(small_graphs):
         assert g.sources() == sources and g.valences() == valences
 
 
+def test_pickled_graph_is_equal_ordered_and_immutable(small_graphs):
+    import pickle
+
+    graphs = [g for _, g in small_graphs] + [downward_cycle(6), oriented_path(1)]
+    for g in graphs:
+        g.sources()  # a filled cache must not travel or break the copy
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        assert copy.vertices == g.vertices and copy.edges == g.edges
+        assert copy.sources() == g.sources() and copy.valences() == g.valences()
+        with pytest.raises(AttributeError):
+            copy.edges = ()
+
+
 def test_sources_sinks_edgeless():
     g = new_graph(["a", "b", "c"])
     assert g.sources() == ("a", "b", "c")

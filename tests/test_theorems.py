@@ -752,7 +752,7 @@ def test_a_sharded_scan_opens_at_most_one_worker_per_cpu(monkeypatch):
 
     import pebblab.classify as classify
 
-    opened = []
+    opened, tasks = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -765,12 +765,20 @@ def test_a_sharded_scan_opens_at_most_one_worker_per_cpu(monkeypatch):
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
+            tasks.extend(items)
+            return map(fn, tasks)
 
     monkeypatch.setattr(classify, "ProcessPoolExecutor", InlinePool)
     single = search_isomorphic_pairs(3, 3, ft_filter=True, shards=1).to_json_obj()
-    assert search_isomorphic_pairs(3, 3, ft_filter=True, shards=64).to_json_obj() == single
-    assert opened == [min(64, os.cpu_count() or 1)]
+    for cpus in (os.cpu_count(), 1, 3):
+        monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+        opened.clear()
+        tasks.clear()
+        assert search_isomorphic_pairs(3, 3, ft_filter=True, shards=64).to_json_obj() == single
+        workers = min(64, cpus or 1)
+        # one task per worker, and one worker scans inline with no pool
+        assert opened == ([workers] if workers > 1 else [])
+        assert tasks == (list(range(workers)) if workers > 1 else [])
 
 
 def test_a_sharded_scan_opens_one_process_pool(monkeypatch):
@@ -784,6 +792,7 @@ def test_a_sharded_scan_opens_one_process_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(classify, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
     single = search_isomorphic_pairs(3, 3, shards=1)
     assert opened == []
     assert search_isomorphic_pairs(3, 3, shards=2).to_json_obj() == single.to_json_obj()
