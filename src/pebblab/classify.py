@@ -51,12 +51,28 @@ def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | Non
     return built_isomorphism(g, ag)
 
 
+# The last answer of `built_isomorphism`: (graph, offsets row, targets row,
+# witness or None).  The rows fix `ag.as_oriented_graph()` exactly, so for
+# the same graph object they fix the search's answer.  Only state graphs
+# with |V(g)| states reach the memo, so the entry stays graph-sized; it is
+# replaced whole, so concurrent callers read either the old or the new one.
+_last_isomorphism: tuple[OrientedGraph, bytes, bytes, IsoMapping | None] | None = None
+
+
 def built_isomorphism(g: OrientedGraph, ag: AssignmentGraph) -> IsoMapping | None:
     """Witness that ``g`` is isomorphic to the built state graph ``ag``, or
-    ``None``; counts are compared first, so a mismatch names no state."""
+    ``None``; counts are compared first, so a mismatch names no state.  A
+    repeat of the last call's graph and state-graph rows skips the search."""
+    global _last_isomorphism
     if len(ag.states) != len(g.vertices) or len(ag.edges) != len(g.edges):
         return None
-    return digraph_isomorphic(g, ag.as_oriented_graph())
+    offsets, targets = bytes(ag.offsets), bytes(ag.targets)
+    last = _last_isomorphism
+    if last is not None and last[0] is g and last[1] == offsets and last[2] == targets:
+        return last[3]
+    found = digraph_isomorphic(g, ag.as_oriented_graph())
+    _last_isomorphism = (g, offsets, targets, found)
+    return found
 
 
 def _check_cap(cap: int) -> None:

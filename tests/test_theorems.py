@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -9,6 +11,7 @@ from pebblab import (
     AssignmentError,
     EmbeddingNotFoundError,
     GraphError,
+    OrientedGraph,
     UnknownClaimError,
     build,
     canonical_pair_key,
@@ -20,6 +23,7 @@ from pebblab import (
     new_graph,
     oriented_complete_bipartite,
     oriented_path,
+    random_downward_tree,
     replay,
     run_claim,
     search_isomorphic_pairs,
@@ -42,7 +46,7 @@ from pebblab import (
 )
 from array import array
 
-from pebblab import theorems
+from pebblab import classify, theorems
 from pebblab.assignment_graph import AssignmentGraph
 from pebblab.classify import built_isomorphism, iter_assignments, iter_count_vectors, state_graph_isomorphism
 from pebblab.generate import enumerate_oriented_graphs, random_assignment, random_oriented_graph
@@ -837,11 +841,124 @@ def test_built_isomorphism_matches_the_direct_call():
         for _, a in iter_assignments(g, 2):
             ag = build(g, a)
             expected = reference_built_isomorphism(g, ag)
-            got = built_isomorphism(g, ag)
-            if expected is None:
-                assert got is None, (g, a.counts)
-            else:
-                assert got is not None and got.pairs == expected.pairs, (g, a.counts)
-                found += 1
+            # The second call may answer from the memo; both must match.
+            for got in (built_isomorphism(g, ag), built_isomorphism(g, ag)):
+                if expected is None:
+                    assert got is None, (g, a.counts)
+                else:
+                    assert got is not None and got.pairs == expected.pairs, (g, a.counts)
+            found += expected is not None
             compared += 1
     assert found > 0 and compared > found
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Count the isomorphism searches that `built_isomorphism` runs."""
+    calls = []
+    real = classify.digraph_isomorphic
+
+    def counted(g, h):
+        calls.append(g)
+        return real(g, h)
+
+    monkeypatch.setattr(classify, "digraph_isomorphic", counted)
+    return calls
+
+
+def _rows(ag) -> tuple[bytes, bytes]:
+    return bytes(ag.offsets), bytes(ag.targets)
+
+
+def test_a_tree_checked_twice_is_searched_once(searches):
+    rng = random.Random(21)
+    tree = random_downward_tree(rng, 14)
+    leaves = {v: rng.randint(0, 9) for v in tree.sinks()}
+
+    def reports(second: OrientedGraph) -> tuple[dict, dict]:
+        return (
+            verify_thm_5_1(tree, 3, leaves).to_json_obj(),
+            verify_prop_1_1(second, tree_assignment(second, 3, leaves)).to_json_obj(),
+        )
+
+    same_tree = reports(tree)
+    assert len(searches) == 1
+    assert [r["verdict"] for r in same_tree] == [HOLDS, HOLDS]
+    # A copy is another graph object, so prop-1.1 searches again.
+    assert reports(new_graph(tree.vertices, tree.edges)) == same_tree
+    assert len(searches) == 2
+
+
+def test_a_relabelled_graph_is_searched_again(searches):
+    tree = random_downward_tree(random.Random(22), 9)
+    renamed = tree.relabel({v: f"x{v}" for v in tree.vertices})
+    ag = build(tree, tree_assignment(tree, 2))
+    ag_renamed = build(renamed, tree_assignment(renamed, 2))
+    assert _rows(ag) == _rows(ag_renamed)
+    witness = built_isomorphism(tree, ag)
+    renamed_witness = built_isomorphism(renamed, ag_renamed)
+    assert len(searches) == 2
+    assert [u for u, _ in renamed_witness.pairs] == list(renamed.vertices)
+    assert renamed_witness.pairs == reference_built_isomorphism(renamed, ag_renamed).pairs
+    assert witness.pairs == reference_built_isomorphism(tree, ag).pairs
+
+
+def test_the_memo_holds_one_entry(searches):
+    # Same count gate (5 states, 4 transitions), different rows: the first
+    # assignment's state graph is the graph, the second's is a path.
+    g = new_graph(["r", "m", "x", "y", "z"], [("r", "m"), ("m", "x"), ("m", "y"), ("y", "z")])
+    a = Assignment(g, {"r": 2, "m": 1, "y": 1})
+    b = Assignment(g, {"r": 4})
+    ag_a, ag_b = build(g, a), build(g, b)
+    assert _rows(ag_a) != _rows(ag_b)
+    got = [built_isomorphism(g, ag) for ag in (ag_a, ag_b, ag_a)]
+    assert len(searches) == 3
+    want = [reference_built_isomorphism(g, ag) for ag in (ag_a, ag_b, ag_a)]
+    assert [w and w.pairs for w in got] == [w and w.pairs for w in want]
+    assert got[0] is not None and got[1] is None
+
+
+def test_a_missing_isomorphism_is_remembered_too(searches):
+    # Two sources, so never isomorphic to a state graph; both assignments
+    # give 4 states and 3 transitions in the same rows.
+    g = new_graph(["v0", "v1", "v2", "v3"], [("v1", "v2"), ("v1", "v3"), ("v2", "v3")])
+    built = [build(g, Assignment(g, {"v1": top, "v2": 1})) for top in (2, 3)]
+    assert [(len(ag.states), len(ag.edges)) for ag in built] == [(4, 3), (4, 3)]
+    assert _rows(built[0]) == _rows(built[1])
+    assert [built_isomorphism(g, ag) for ag in built] == [None, None]
+    assert len(searches) == 1
+
+
+def test_concurrent_callers_share_the_isomorphism_memo_safely():
+    # Threads alternating over instances of two graphs keep replacing the
+    # one-entry memo; every answer must still equal the direct search.
+    rng = random.Random(23)
+    jobs = []
+    for n in (8, 10):
+        tree = random_downward_tree(rng, n)
+        for top in (2, 3):
+            ag = build(tree, tree_assignment(tree, top))
+            jobs.append((tree, ag, reference_built_isomorphism(tree, ag).pairs))
+    g = new_graph(["r", "m", "x", "y", "z"], [("r", "m"), ("m", "x"), ("m", "y"), ("y", "z")])
+    jobs.append((g, build(g, Assignment(g, {"r": 4})), None))
+    failures: list[str] = []
+
+    def worker(offset: int) -> None:
+        for k in range(60):
+            graph, ag, want = jobs[(offset + k) % len(jobs)]
+            got = built_isomorphism(graph, ag)
+            if (got and got.pairs) != want:
+                failures.append(f"worker {offset} job {k}")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
