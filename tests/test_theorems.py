@@ -11,7 +11,6 @@ from pebblab import (
     AssignmentError,
     EmbeddingNotFoundError,
     GraphError,
-    OrientedGraph,
     UnknownClaimError,
     build,
     canonical_pair_key,
@@ -870,12 +869,19 @@ def _rows(ag) -> tuple[bytes, bytes]:
     return bytes(ag.offsets), bytes(ag.targets)
 
 
+def _forked_stem():
+    """r -> m -> {x, y}, y -> z: under r=2, m=1, y=1 its state graph is
+    itself; under r=4 it has as many states and transitions, in other rows,
+    and is not isomorphic to it."""
+    return new_graph(["r", "m", "x", "y", "z"], [("r", "m"), ("m", "x"), ("m", "y"), ("y", "z")])
+
+
 def test_a_tree_checked_twice_is_searched_once(searches):
     rng = random.Random(21)
     tree = random_downward_tree(rng, 14)
     leaves = {v: rng.randint(0, 9) for v in tree.sinks()}
 
-    def reports(second: OrientedGraph) -> tuple[dict, dict]:
+    def reports(second):
         return (
             verify_thm_5_1(tree, 3, leaves).to_json_obj(),
             verify_prop_1_1(second, tree_assignment(second, 3, leaves)).to_json_obj(),
@@ -904,12 +910,8 @@ def test_a_relabelled_graph_is_searched_again(searches):
 
 
 def test_the_memo_holds_one_entry(searches):
-    # Same count gate (5 states, 4 transitions), different rows: the first
-    # assignment's state graph is the graph, the second's is a path.
-    g = new_graph(["r", "m", "x", "y", "z"], [("r", "m"), ("m", "x"), ("m", "y"), ("y", "z")])
-    a = Assignment(g, {"r": 2, "m": 1, "y": 1})
-    b = Assignment(g, {"r": 4})
-    ag_a, ag_b = build(g, a), build(g, b)
+    g = _forked_stem()
+    ag_a, ag_b = build(g, Assignment(g, {"r": 2, "m": 1, "y": 1})), build(g, Assignment(g, {"r": 4}))
     assert _rows(ag_a) != _rows(ag_b)
     got = [built_isomorphism(g, ag) for ag in (ag_a, ag_b, ag_a)]
     assert len(searches) == 3
@@ -939,7 +941,7 @@ def test_concurrent_callers_share_the_isomorphism_memo_safely():
         for top in (2, 3):
             ag = build(tree, tree_assignment(tree, top))
             jobs.append((tree, ag, reference_built_isomorphism(tree, ag).pairs))
-    g = new_graph(["r", "m", "x", "y", "z"], [("r", "m"), ("m", "x"), ("m", "y"), ("y", "z")])
+    g = _forked_stem()
     jobs.append((g, build(g, Assignment(g, {"r": 4})), None))
     failures: list[str] = []
 
