@@ -14,7 +14,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice, product
+from itertools import count, islice, product, repeat
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .assignment_graph import AssignmentGraph, build
@@ -32,17 +33,24 @@ def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | Non
     """Witness that ``g`` is isomorphic to its own state graph under ``a``,
     or ``None`` (a definite no).
 
-    Uses sound early exits: the state graph has exactly one in-degree-zero
-    vertex (its root) whose out-degree is the number of initially legal
-    moves, and more than |V(g)| states already rules the isomorphism out,
-    so the builder runs with |V(g)| as its cap.
+    Uses sound early exits.  Every move lowers the pebble total by exactly
+    one, and every state is reached from the root ``a`` by moves; so a
+    path from the root to a state s has length total(a) - total(s), which
+    is therefore s's breadth-first depth, and every transition goes from
+    depth d to d + 1.  The root has no incoming transition, and every other
+    state has one, so the root is the only source.  These properties survive an isomorphism, so ``g``
+    must have a `graded_root`, an isomorphism must map it to the root, and
+    its valence must equal the root's out-degree: the number of legal moves
+    of ``a``.  Last, more than |V(g)| states already rules the isomorphism
+    out, so the builder runs with |V(g)| as its cap.
     """
-    sources = g.sources()
-    if len(sources) != 1:
+    root = g.graded_root()
+    if root is None:
         return None
     # The legal moves of a, counted without listing them.
-    moves = sum(d for c, d in zip(a.counts, g.valences()) if c >= 2)
-    if moves != g.valence(sources[0]):
+    counts = a.counts
+    moves = sum(d for c, d in zip(counts, g.valences()) if c >= 2) if max(counts) >= 2 else 0
+    if moves != g.valence(root):
         return None
     try:
         ag = build(g, a, state_budget=len(g.vertices))
@@ -64,9 +72,10 @@ def built_isomorphism(g: OrientedGraph, ag: AssignmentGraph) -> IsoMapping | Non
     ``None``; counts are compared first, so a mismatch names no state.  A
     repeat of the last call's graph and state-graph rows skips the search."""
     global _last_isomorphism
-    if len(ag.states) != len(g.vertices) or len(ag.edges) != len(g.edges):
+    targets = ag.targets
+    if len(ag.packed) != len(g.vertices) or len(targets) != len(g.edges):
         return None
-    offsets, targets = bytes(ag.offsets), bytes(ag.targets)
+    offsets, targets = bytes(ag.offsets), bytes(targets)
     last = _last_isomorphism
     if last is not None and last[0] is g and last[1] == offsets and last[2] == targets:
         return last[3]
@@ -80,17 +89,20 @@ def _check_cap(cap: int) -> None:
         raise AssignmentError(f"pebble cap must be non-negative, got {cap}")
 
 
-def _numbered(
+# The digits of a `product` tuple, lowest first.
+_lowest_first = itemgetter(slice(None, None, -1))
+
+
+def _vectors(
     free: Sequence[int], cap: int, shard: int, shards: int
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, vector) over the vectors with entry i in [0, cap] where
-    ``free[i]`` is truthy and 0 elsewhere, striding by ``shards`` starting
-    at ``shard``.  The index reads the free entries as a base-(cap+1)
-    number whose first entry is the lowest digit."""
+) -> Iterator[tuple[int, ...]]:
+    """The vectors with entry i in [0, cap] where ``free[i]`` is truthy and
+    0 elsewhere, striding by ``shards`` starting at ``shard``, in the order
+    of their index: the free entries read as a base-(cap+1) number whose
+    first entry is the lowest digit."""
     _check_cap(cap)
     ranges = [range(cap + 1) if f else (0,) for f in reversed(free)]
-    numbered = islice(enumerate(product(*ranges)), shard, None, shards)
-    return ((idx, digits[::-1]) for idx, digits in numbered)
+    return map(_lowest_first, islice(product(*ranges), shard, None, shards))
 
 
 def iter_count_vectors(
@@ -99,7 +111,7 @@ def iter_count_vectors(
     """(index, vector) over all count vectors in [0, cap]^length, striding
     by ``shards`` starting at ``shard``.  The index is the vector read as a
     base-(cap+1) number whose first entry is the lowest digit."""
-    return _numbered([1] * length, cap, shard, shards)
+    return zip(count(shard, shards), _vectors([1] * length, cap, shard, shards))
 
 
 def iter_assignments(
@@ -107,8 +119,8 @@ def iter_assignments(
 ) -> Iterator[tuple[int, Assignment]]:
     """(index, assignment) with the `iter_count_vectors` entries on the
     non-sink vertices, in vertex order, and zero on every sink."""
-    make = Assignment._of_counts
-    return ((idx, make(g, counts)) for idx, counts in _numbered(g.valences(), cap, shard, shards))
+    vectors = _vectors(g.valences(), cap, shard, shards)
+    return zip(count(shard, shards), map(Assignment._of_counts, repeat(g), vectors))
 
 
 def _scan_shard(

@@ -24,9 +24,10 @@ from .errors import (
 class OrientedGraph:
     """Immutable oriented graph over named vertices."""
 
-    # _sources and _valences are filled on first use, so graphs that never
-    # ask for them (state graphs handed to the isomorphism test) pay nothing.
-    __slots__ = ("vertices", "edges", "_index", "_out", "_in", "_sources", "_valences")
+    # _sources, _valences and _graded_root are filled on first use, so graphs
+    # that never ask for them (state graphs handed to the isomorphism test)
+    # pay nothing.
+    __slots__ = ("vertices", "edges", "_index", "_out", "_in", "_sources", "_valences", "_graded_root")
 
     def __init__(
         self,
@@ -126,6 +127,38 @@ class OrientedGraph:
         except AttributeError:
             object.__setattr__(self, "_sources", tuple(v for v in self.vertices if not self._in[v]))
             return self._sources
+
+    def graded_root(self) -> str | None:
+        """The unique source, when every vertex is reachable from it and
+        every edge goes from breadth-first depth d to depth d + 1; else
+        ``None`` (so also for the graph with no vertices)."""
+        try:
+            return self._graded_root
+        except AttributeError:
+            object.__setattr__(self, "_graded_root", self._find_graded_root())
+            return self._graded_root
+
+    def _find_graded_root(self) -> str | None:
+        sources = self.sources()
+        if len(sources) != 1:
+            return None
+        depth = {sources[0]: 0}
+        frontier = [sources[0]]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                d = depth[v] + 1
+                for w in self._out[v]:
+                    if w not in depth:
+                        depth[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        # A unique source can miss a directed cycle, which has no source.
+        if len(depth) != len(self.vertices):
+            return None
+        if any(depth[w] != depth[u] + 1 for u, w in self.edges):
+            return None
+        return sources[0]
 
     def sinks(self) -> tuple[str, ...]:
         """Vertices with valence zero, in declaration order."""

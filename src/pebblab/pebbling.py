@@ -50,8 +50,8 @@ class Assignment:
         """Unchecked constructor for a scan's own vectors: ``counts`` must
         already be a tuple of non-negative ints, one per vertex of ``graph``."""
         a = object.__new__(cls)
-        object.__setattr__(a, "graph", graph)
-        object.__setattr__(a, "counts", counts)
+        _set_graph(a, graph)
+        _set_counts(a, counts)
         return a
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -115,6 +115,11 @@ class Assignment:
         counts[iu] -= 2
         counts[iw] += 1
         return Assignment(self.graph, counts)
+
+
+# The slots' own setters, which the immutability guard does not intercept.
+_set_graph = Assignment.graph.__set__
+_set_counts = Assignment.counts.__set__
 
 
 # -- assignment families ----------------------------------------------------

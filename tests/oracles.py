@@ -24,6 +24,10 @@ earlier variable order, which rescanned every unplaced vertex per placement.
 ``_source_distances`` is the level map the earlier ``canonical_labeling``
 seeded its colors with: each vertex's shortest distance from a source.
 
+``reference_graded_root`` reads the graded-root condition off those levels:
+one source, every vertex at a finite level, and every edge one level down.
+``OrientedGraph.graded_root`` must return the same vertex or ``None``.
+
 ``reference_count_vectors`` is the earlier base conversion behind
 ``classify.iter_count_vectors``, which must yield exactly its sequence.
 
@@ -390,6 +394,19 @@ def _source_distances(n: int, out_adj: list[set[int]], in_adj: list[set[int]]) -
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def reference_graded_root(g: OrientedGraph) -> str | None:
+    n = len(g.vertices)
+    out_adj = [{g.index(w) for w in g.out_neighbors(v)} for v in g.vertices]
+    in_adj = [{g.index(u) for u in g.in_neighbors(v)} for v in g.vertices]
+    dist = _source_distances(n, out_adj, in_adj)
+    sources = [v for v in range(n) if not in_adj[v]]
+    if len(sources) != 1 or any(d > n for d in dist):
+        return None
+    if any(dist[w] != dist[v] + 1 for v in range(n) for w in out_adj[v]):
+        return None
+    return g.vertices[sources[0]]
 
 
 def reference_count_vectors(length: int, cap: int, shard: int = 0, shards: int = 1):

@@ -16,7 +16,8 @@ from pebblab import (
     oriented_complete_bipartite,
     oriented_path,
 )
-from oracles import undirected_cycle_exists
+from pebblab.generate import enumerate_oriented_graphs
+from oracles import reference_graded_root, undirected_cycle_exists
 
 
 def test_single_vertex_graph():
@@ -126,6 +127,7 @@ def test_cached_facts_leave_the_graph_immutable_and_equal(small_graphs):
         twin = new_graph(g.vertices, g.edges)
         before = hash(g)
         sources, valences = g.sources(), tuple(g.valence(v) for v in g.vertices)
+        root = g.graded_root()
         assert sources == tuple(v for v in g.vertices if all(w != v for _, w in g.edges))
         assert valences == tuple(sum(u == v for u, _ in g.edges) for v in g.vertices)
         assert g.valences() == valences and g.sources() is sources
@@ -133,8 +135,10 @@ def test_cached_facts_leave_the_graph_immutable_and_equal(small_graphs):
         with pytest.raises(AttributeError):
             g._sources = ()
         with pytest.raises(AttributeError):
+            g._graded_root = None
+        with pytest.raises(AttributeError):
             g.edges = ()
-        assert g.sources() == sources and g.valences() == valences
+        assert g.sources() == sources and g.valences() == valences and g.graded_root() == root
 
 
 def test_pickled_graph_is_equal_ordered_and_immutable(small_graphs):
@@ -142,13 +146,49 @@ def test_pickled_graph_is_equal_ordered_and_immutable(small_graphs):
 
     graphs = [g for _, g in small_graphs] + [downward_cycle(6), oriented_path(1)]
     for g in graphs:
-        g.sources()  # a filled cache must not travel or break the copy
-        copy = pickle.loads(pickle.dumps(g))
+        g.sources(), g.graded_root()  # a filled cache must not travel or break the copy
+        data = pickle.dumps(g)
+        assert data == pickle.dumps(new_graph(g.vertices, g.edges))
+        copy = pickle.loads(data)
         assert copy == g and hash(copy) == hash(g)
+        assert copy.graded_root() == g.graded_root()
         assert copy.vertices == g.vertices and copy.edges == g.edges
         assert copy.sources() == g.sources() and copy.valences() == g.valences()
         with pytest.raises(AttributeError):
             copy.edges = ()
+
+
+def test_graded_root_matches_the_source_distance_levels():
+    graded: dict[int, int] = {}
+    classes: dict[int, int] = {}
+    for g in enumerate_oriented_graphs(5):
+        n = len(g.vertices)
+        root = g.graded_root()
+        assert root == reference_graded_root(g), g
+        classes[n] = classes.get(n, 0) + 1
+        graded[n] = graded.get(n, 0) + (root is not None)
+    assert (graded[4], classes[4]) == (5, 42)
+    assert (graded[5], classes[5]) == (15, 582)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, root",
+    [
+        # One source, but the directed 3-cycle is out of its reach.
+        (["s", "a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], None),
+        (["s", "a", "b", "c"], [("s", "a"), ("a", "b"), ("b", "c"), ("c", "a")], None),
+        # The transitive triangle: the edge s -> b skips a level.
+        (["s", "a", "b"], [("s", "a"), ("a", "b"), ("s", "b")], None),
+        (["v"], [], "v"),
+        ([], [], None),
+        (["a", "b"], [], None),
+        (["top", "l1", "r1", "bottom"], [("top", "l1"), ("l1", "bottom"), ("top", "r1"), ("r1", "bottom")], "top"),
+    ],
+)
+def test_graded_root_cases(vertices, edges, root):
+    g = new_graph(vertices, edges)
+    assert g.graded_root() == root == reference_graded_root(g)
+    assert g.graded_root() == root  # the cached answer
 
 
 def test_sources_sinks_edgeless():

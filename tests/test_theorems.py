@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 import threading
@@ -534,6 +536,31 @@ def test_state_graph_isomorphism_matches_the_listed_moves():
     assert found > 0 and compared > found
 
 
+def test_graded_root_exit_drops_no_five_vertex_hit():
+    compared = found = 0
+    for g in enumerate_oriented_graphs(5, min_vertices=5):
+        for _, a in iter_assignments(g, 2):
+            expected = reference_state_graph_isomorphism(g, a)
+            got = state_graph_isomorphism(g, a)
+            if expected is None:
+                assert got is None, (g, a.counts)
+            else:
+                assert got is not None and got.pairs == expected.pairs, (g, a.counts)
+                found += 1
+            compared += 1
+    assert found > 0 and compared > found
+
+
+def test_five_vertex_search_at_cap_3_is_frozen():
+    # The digest is of `pebblab search --max-vertices 5 --pebble-cap 3
+    # --format json`, as printed before the graded-root exit.
+    result = search_isomorphic_pairs(5, 3)
+    assert (len(result.pairs), result.scanned) == (53, 238_429)
+    text = json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "dad191bed81fd48e3a22a5b2c1843aa85773176cc14dd81808202d95eadd26a3"
+
+
 # -- thm 8.1 ------------------------------------------------------------------
 
 
@@ -832,6 +859,22 @@ def test_a_larger_state_graph_is_never_named(monkeypatch, check, args, verdict, 
     monkeypatch.setattr(AssignmentGraph, "as_oriented_graph", refuse)
     report = check(*args)
     assert (report.verdict, report.stats, report.witness) == (verdict, stats, None)
+
+
+def test_a_state_graph_with_other_transition_count_is_never_named(monkeypatch):
+    def refuse(self):
+        raise AssertionError("as_oriented_graph called on a state graph of another size")
+
+    p2 = oriented_path(2)
+    chain = build(p2, Assignment(p2, [4, 0]))
+    pair = new_graph(["u", "v", "w", "x"], [("u", "v"), ("w", "x")])
+    diamond = build(pair, Assignment(pair, [2, 0, 2, 0]))
+    triangle = new_graph(["s", "a", "b"], [("s", "a"), ("a", "b"), ("s", "b")])
+    monkeypatch.setattr(AssignmentGraph, "as_oriented_graph", refuse)
+    assert (len(chain.states), len(chain.edges)) == (3, 2)
+    assert (len(diamond.states), len(diamond.edges)) == (4, 4)
+    assert built_isomorphism(triangle, chain) is None
+    assert built_isomorphism(oriented_path(4), diamond) is None
 
 
 def test_built_isomorphism_matches_the_direct_call():
