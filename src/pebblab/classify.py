@@ -48,8 +48,7 @@ def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | Non
     if root is None:
         return None
     # The legal moves of a, counted without listing them.
-    counts = a.counts
-    moves = sum(d for c, d in zip(counts, g.valences()) if c >= 2) if max(counts) >= 2 else 0
+    moves = sum(d for c, d in zip(a.counts, g.valences()) if c >= 2)
     if moves != g.valence(root):
         return None
     try:

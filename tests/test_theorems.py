@@ -522,33 +522,20 @@ def test_a_negative_pebble_cap_fails_before_any_graph(monkeypatch):
 
 
 def test_state_graph_isomorphism_matches_the_listed_moves():
-    compared = found = 0
-    for g in enumerate_oriented_graphs(4):
-        for _, a in iter_assignments(g, 3):
-            expected = reference_state_graph_isomorphism(g, a)
-            got = state_graph_isomorphism(g, a)
-            if expected is None:
-                assert got is None, (g, a.counts)
-            else:
-                assert got is not None and got.pairs == expected.pairs, (g, a.counts)
-                found += 1
-            compared += 1
-    assert found > 0 and compared > found
-
-
-def test_graded_root_exit_drops_no_five_vertex_hit():
-    compared = found = 0
-    for g in enumerate_oriented_graphs(5, min_vertices=5):
-        for _, a in iter_assignments(g, 2):
-            expected = reference_state_graph_isomorphism(g, a)
-            got = state_graph_isomorphism(g, a)
-            if expected is None:
-                assert got is None, (g, a.counts)
-            else:
-                assert got is not None and got.pairs == expected.pairs, (g, a.counts)
-                found += 1
-            compared += 1
-    assert found > 0 and compared > found
+    # Every class up to 4 vertices at cap 3, and every 5-vertex class at cap 2.
+    for max_vertices, min_vertices, cap in ((4, 1, 3), (5, 5, 2)):
+        compared = found = 0
+        for g in enumerate_oriented_graphs(max_vertices, min_vertices=min_vertices):
+            for _, a in iter_assignments(g, cap):
+                expected = reference_state_graph_isomorphism(g, a)
+                got = state_graph_isomorphism(g, a)
+                if expected is None:
+                    assert got is None, (g, a.counts)
+                else:
+                    assert got is not None and got.pairs == expected.pairs, (g, a.counts)
+                    found += 1
+                compared += 1
+        assert found > 0 and compared > found, max_vertices
 
 
 def test_five_vertex_search_at_cap_3_is_frozen():
