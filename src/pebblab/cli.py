@@ -220,14 +220,21 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     ft_filter = {"yes": True, "no": False, "any": None}[args.fully_traversable]
+    started = time.monotonic()
     result = search_isomorphic_pairs(
         args.max_vertices, args.pebble_cap, ft_filter=ft_filter, shards=args.shards
     )
+    elapsed = time.monotonic() - started
     if args.format == "json":
         text = _json_text(result.to_json_obj())
     else:
         text = result.table()
     _write_output(text, args.output)
+    print(
+        f"search: {len(result.pairs)} pairs, {result.scanned} assignments scanned"
+        f" over {result.stats['graph_classes']} classes in {elapsed:.2f}s",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 

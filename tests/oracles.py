@@ -16,6 +16,11 @@ every choice of absent/forward/backward per vertex pair, in ``product``
 order, kept when its canonical form is new.  The vertex-augmentation
 enumeration must return the same graphs in the same order.
 
+``reference_augment`` is the earlier augmentation step, which gave every
+join of every parent a canonical key; ``generate._augment``, which keys only
+the joins whose new vertex has the greatest degree pair, must return the
+same sorted keys.
+
 ``reference_refine`` and ``reference_variable_order`` are the earlier color
 refinement, which ran one extra round to confirm its fixpoint, and the
 earlier variable order, which rescanned every unplaced vertex per placement.
@@ -60,6 +65,8 @@ from pebblab import (
     digraph_isomorphic,
 )
 from pebblab.classify import built_isomorphism, iter_count_vectors
+from pebblab.generate import _masks
+from pebblab.iso import _least_choice_tuple
 
 
 def naive_state_space(g: OrientedGraph, counts: tuple[int, ...]):
@@ -338,6 +345,28 @@ def reference_enumerate_oriented_graphs(max_vertices: int, min_vertices: int = 1
                 seen.add(key)
                 out.append(g)
     return out
+
+
+def reference_augment(keys: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """The sorted least choice tuples of the n-vertex classes, given those
+    of the (n-1)-vertex classes, from every join of every parent."""
+    new, bit = n - 1, 1 << (n - 1)
+    found: set[tuple[int, ...]] = set()
+    for key in keys:
+        succ, pred = _masks(new, key)
+        succ.append(0)
+        pred.append(0)
+        for joins in product((0, 1, 2), repeat=new):
+            s, p = succ[:], pred[:]
+            for i, c in enumerate(joins):
+                if c == 1:
+                    s[i] |= bit
+                    p[new] |= 1 << i
+                elif c == 2:
+                    s[new] |= 1 << i
+                    p[i] |= bit
+            found.add(_least_choice_tuple(s, p))
+    return sorted(found)
 
 
 def reference_refine(out_adj: list[set[int]], in_adj: list[set[int]], colors: list[int]) -> list[int]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -196,6 +197,15 @@ verdict:  holds
   4v/4e not-ft  top=0 l1=3 r1=3 bottom=any
   4v/4e not-ft  top=1 l1=3 r1=3 bottom=any
 """
+
+
+def test_search_reports_its_work_on_stderr_only(capsys):
+    assert main(["search", "--max-vertices", "3", "--pebble-cap", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == SEARCH_3_3_TABLE
+    assert re.fullmatch(
+        r"search: 7 pairs, 127 assignments scanned over 10 classes in \d+\.\d\ds\n", captured.err
+    )
 
 
 def test_table_outputs_are_frozen(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -14,9 +15,10 @@ from pebblab import (
     random_oriented_graph,
 )
 from pebblab import generate, iso
-from pebblab.generate import _least_choice_tuple, _masks
+from pebblab.generate import _augment, _least_choice_tuple, _masks
+from pebblab.textio import format_graph
 from conftest import star_tree
-from oracles import brute_isomorphisms, reference_enumerate_oriented_graphs
+from oracles import brute_isomorphisms, reference_augment, reference_enumerate_oriented_graphs
 
 
 def _brute_class_count(graphs):
@@ -81,9 +83,38 @@ def test_five_vertex_representatives_are_least_and_sorted():
     assert len({canonical_form(g) for g in graphs}) == len(graphs) == 582
 
 
+def test_augmentation_keys_the_same_classes_as_keying_every_join():
+    keys = [()]
+    for n in range(1, 6):
+        want = reference_augment(keys, n)
+        assert _augment(keys, n) == want
+        keys = want
+
+
+def test_degree_rule_prunes_the_canonical_keys(monkeypatch):
+    # Only joins whose new vertex has the greatest (degree, out-degree)
+    # pair are keyed: 211 and 3,613 keys without the rule.
+    calls = []
+
+    def counting(succ, pred):
+        calls.append(len(succ))
+        return _least_choice_tuple(succ, pred)
+
+    monkeypatch.setattr(generate, "_least_choice_tuple", counting)
+    enumerate_oriented_graphs(4)
+    assert len(calls) == 78
+    calls.clear()
+    enumerate_oriented_graphs(5)
+    assert len(calls) == 985
+
+
 def test_six_vertex_class_count_follows_oeis_a001174():
     # 582 at five vertices is checked above; a sweep would take hours here
-    assert len(enumerate_oriented_graphs(6, min_vertices=6)) == 21480
+    graphs = enumerate_oriented_graphs(6, min_vertices=6)
+    assert len(graphs) == 21480
+    text = "".join(format_graph(g) + "\n" for g in graphs)
+    digest = "5f1bca37c2c1d73fbf2c0be3246dfaab20aca8926135ee7a77f8ef00e2183a86"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_least_choice_tuple_is_the_brute_force_minimum():
