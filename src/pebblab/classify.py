@@ -6,6 +6,12 @@ finding stands for the whole infinite family over sink counts.  Each
 graph numbers its own assignments, and shard s of N takes the indices equal
 to s mod N in every graph, so any shard count yields the same instances, and
 results merge deterministically by (graph position, index).
+
+A scan covers every capped assignment but visits only those that can still
+pass `state_graph_isomorphism`: none on a graph without a graded root, and
+on a graded graph only the vectors whose legal moves number the root's
+valence, generated heavy set by heavy set.  The rest are counted, not
+visited.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import merge
 from itertools import count, islice, product, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .assignment_graph import AssignmentGraph, build
@@ -122,21 +129,65 @@ def iter_assignments(
     return zip(count(shard, shards), map(Assignment._of_counts, repeat(g), vectors))
 
 
+def _heavy_sets(valences: Sequence[int], target: int, start: int = 0) -> Iterator[tuple[int, ...]]:
+    """The increasing position tuples drawn from ``valences[start:]`` whose
+    valences sum to ``target``.  Valences are positive, so a branch stops
+    as soon as its sum would pass ``target``."""
+    if target == 0:
+        yield ()
+    for k in range(start, len(valences)):
+        if valences[k] <= target:
+            for rest in _heavy_sets(valences, target - valences[k], k + 1):
+                yield (k, *rest)
+
+
+def _candidates(
+    g: OrientedGraph, cap: int, shard: int, shards: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(index, count vector), in index order, of the `iter_assignments`
+    entries of the shard that pass `state_graph_isomorphism`'s exits before
+    its build: ``g`` has a graded root, and the legal moves, one per
+    out-edge of each vertex holding two or more pebbles, number the root's
+    valence.  So the vertices holding two or more pebbles form a heavy set
+    whose valences sum to the root's; each heavy set yields the vectors with
+    2..cap on it, 0..min(cap, 1) on the other non-sinks and 0 on the sinks,
+    and the heavy sets' vectors are merged by index."""
+    root = g.graded_root()
+    if root is None:
+        return iter(())
+    valences = g.valences()
+    free = [i for i, d in enumerate(valences) if d]
+    weights = [0] * len(valences)
+    for k, i in enumerate(free):
+        weights[i] = (cap + 1) ** k
+    light, heavy = range(min(cap, 1) + 1), range(2, cap + 1)
+    streams = []
+    for chosen in _heavy_sets([valences[i] for i in free], valences[g.index(root)]):
+        heavy_vertices = {free[k] for k in chosen}
+        ranges = [heavy if i in heavy_vertices else light if d else (0,) for i, d in enumerate(valences)]
+        # The last vertex varies slowest, so each stream runs in index order.
+        numbered = ((sum(map(mul, c, weights)), c) for c in map(_lowest_first, product(*reversed(ranges))))
+        streams.append((idx, c) for idx, c in numbered if idx % shards == shard)
+    return merge(*streams)
+
+
 def _scan_shard(
     graphs: list[OrientedGraph], pebble_cap: int, shard: int = 0, shards: int = 1
 ) -> tuple[list[Hit], int]:
     """Scan, in every graph, the assignments whose index is ``shard`` mod
     ``shards``.  Hits are (graph position, index, full count vector,
     fully_traversable) for every assignment whose state graph is isomorphic
-    to its graph."""
+    to its graph.  The count returned is of the assignments covered: all
+    of the shard's, of which only the `_candidates` reach the pair test."""
     hits: list[Hit] = []
     scanned = 0
     for pos, g in enumerate(graphs):
         n = len(g.vertices)
-        for idx, a in iter_assignments(g, pebble_cap, shard, shards):
-            scanned += 1
+        scanned += len(range(shard, (pebble_cap + 1) ** sum(map(bool, g.valences())), shards))
+        for idx, counts in _candidates(g, pebble_cap, shard, shards):
+            a = Assignment._of_counts(g, counts)
             if state_graph_isomorphism(g, a) is not None:
-                hits.append((pos, idx, a.counts, build(g, a, state_budget=n).is_fully_traversable()))
+                hits.append((pos, idx, counts, build(g, a, state_budget=n).is_fully_traversable()))
     return hits, scanned
 
 

@@ -46,6 +46,16 @@ count vectors, as equal assignments.
 counted the initial legal moves by listing them;
 ``classify.state_graph_isomorphism`` must return the same witness.
 
+``reference_scan`` is the earlier box scan: every capped assignment of
+the shard, in index order, through ``classify.state_graph_isomorphism``,
+with each hit's state graph rebuilt for its full traversability.
+``classify._scan_shard``, which visits only the heavy-set vectors of graded
+classes, must return the same hits and the same count.
+``reference_scan_movers`` lists the box vectors that can pass the pair
+test's exits before its build (graded root by ``reference_graded_root``,
+listed legal moves as many as the root's valence); they are exactly the
+vectors that ``_scan_shard`` hands to the pair test, in the same order.
+
 ``reference_built_isomorphism`` is the earlier direct test of a graph
 against its built state graph, which named every state before comparing any
 count; ``classify.built_isomorphism`` must return the same witness.
@@ -64,7 +74,7 @@ from pebblab import (
     canonical_form,
     digraph_isomorphic,
 )
-from pebblab.classify import built_isomorphism, iter_count_vectors
+from pebblab.classify import built_isomorphism, iter_count_vectors, state_graph_isomorphism
 from pebblab.generate import _masks
 from pebblab.iso import _least_choice_tuple
 
@@ -472,3 +482,26 @@ def reference_state_graph_isomorphism(g: OrientedGraph, a: Assignment):
     except StateBudgetExceededError:
         return None
     return built_isomorphism(g, ag)
+
+
+def reference_scan(graphs: list[OrientedGraph], cap: int, shard: int = 0, shards: int = 1):
+    hits, scanned = [], 0
+    for pos, g in enumerate(graphs):
+        for idx, a in reference_iter_assignments(g, cap, shard, shards):
+            scanned += 1
+            if state_graph_isomorphism(g, a) is not None:
+                ft = build(g, a, state_budget=len(g.vertices)).is_fully_traversable()
+                hits.append((pos, idx, a.counts, ft))
+    return hits, scanned
+
+
+def reference_scan_movers(graphs: list[OrientedGraph], cap: int, shard: int = 0, shards: int = 1):
+    movers = []
+    for pos, g in enumerate(graphs):
+        root = reference_graded_root(g)
+        if root is None:
+            continue
+        for _, a in reference_iter_assignments(g, cap, shard, shards):
+            if len(a.legal_moves()) == g.valence(root):
+                movers.append((pos, a.counts))
+    return movers

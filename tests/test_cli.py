@@ -247,17 +247,18 @@ def test_thm_3_1_counterexample_names_the_isomorphic_assignment(capsys, monkeypa
     from pebblab import Assignment, downward_cycle
 
     real = classify.state_graph_isomorphism
-    # the all-zero vector has one state, so the scan's rebuild of it fits
+    # Two pebbles on the top make two legal moves, as the top has out-edges,
+    # so the scan visits this vector; its three states fit the scan's rebuild.
+    planted = Assignment(downward_cycle(6), {"top": 2})
     monkeypatch.setattr(
-        classify, "state_graph_isomorphism", lambda g, a: real(g, a) if any(a.counts) else "fake"
+        classify, "state_graph_isomorphism", lambda g, a: "fake" if a == planted else real(g, a)
     )
     assert main(["verify", "thm-3.1", "--k", "6", "--cap", "2", "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
-    zero = Assignment(downward_cycle(6), {})
     assert report["verdict"] == "counterexample"
     assert report["stats"] == {"k": 6, "pebble_cap": 2, "scanned": 243, "isomorphic_found": 1}
-    assert report["witness"] == {"assignment": zero.as_dict()}
-    _replays_to(report, zero)
+    assert report["witness"] == {"assignment": planted.as_dict()}
+    _replays_to(report, planted)
 
 
 def test_sec_6_counterexample_counts_unexpected_and_missing_pairs(capsys, monkeypatch):

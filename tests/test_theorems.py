@@ -73,6 +73,8 @@ from oracles import (
     reference_built_isomorphism,
     reference_count_vectors,
     reference_iter_assignments,
+    reference_scan,
+    reference_scan_movers,
     reference_state_graph_isomorphism,
     reference_thm_2_1,
 )
@@ -538,6 +540,44 @@ def test_state_graph_isomorphism_matches_the_listed_moves():
         assert found > 0 and compared > found, max_vertices
 
 
+def _scan_cases():
+    classes = enumerate_oriented_graphs(4)
+    yield from ((classes, cap) for cap in range(7))
+    yield enumerate_oriented_graphs(5, min_vertices=5), 3
+    yield from (([downward_cycle(6)], cap) for cap in range(6))
+    yield from (([downward_cycle(8)], cap) for cap in range(4))
+
+
+def test_pruned_scan_matches_the_box_scan(monkeypatch):
+    # Every class up to 4 vertices at caps 0-6, every 5-vertex class at cap
+    # 3, and the downward 6- and 8-cycles at caps up to 5 and 3, each shard
+    # of 1, 2 and 3 shards.  The pair test sees exactly the box vectors that
+    # can pass its exits before the build, so a dropped or an extra vector
+    # fails even when it is not a hit.
+    real = classify.state_graph_isomorphism
+    for graphs, cap in _scan_cases():
+        position = {id(g): pos for pos, g in enumerate(graphs)}
+        merged = []
+        for shards in range(1, 4):
+            hits, scanned = [], 0
+            for shard in range(shards):
+                visited = []
+
+                def recording(g, a):
+                    visited.append((position[id(g)], a.counts))
+                    return real(g, a)
+
+                monkeypatch.setattr(classify, "state_graph_isomorphism", recording)
+                got = classify._scan_shard(graphs, cap, shard, shards)
+                monkeypatch.setattr(classify, "state_graph_isomorphism", real)
+                assert got == reference_scan(graphs, cap, shard, shards), (cap, shard, shards)
+                assert visited == reference_scan_movers(graphs, cap, shard, shards), (cap, shard, shards)
+                hits += got[0]
+                scanned += got[1]
+            merged.append((sorted(hits, key=lambda h: h[:2]), scanned))
+        assert merged[0] == merged[1] == merged[2], cap
+
+
 def test_five_vertex_search_at_cap_3_is_frozen():
     # The digest is of `pebblab search --max-vertices 5 --pebble-cap 3
     # --format json`, as printed before the graded-root exit.
@@ -546,6 +586,18 @@ def test_five_vertex_search_at_cap_3_is_frozen():
     text = json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "dad191bed81fd48e3a22a5b2c1843aa85773176cc14dd81808202d95eadd26a3"
+
+
+def test_six_vertex_search_at_cap_6_is_frozen():
+    # The digest is of `pebblab search --max-vertices 6 --pebble-cap 6
+    # --format json`.  Only the pruned scan reaches it: the box scan would
+    # visit all 1,130,152,624 assignments one by one.  At cap 2, where both
+    # run, their outputs are the same bytes.
+    result = search_isomorphic_pairs(6, 6)
+    assert (len(result.pairs), result.scanned) == (294, 1_130_152_624)
+    text = json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "da897d2ccf682891638f17e487968c86aa76e32ba4354df1abf6875488f79fc1"
 
 
 # -- thm 8.1 ------------------------------------------------------------------
