@@ -145,13 +145,24 @@ def _candidates(
     g: OrientedGraph, cap: int, shard: int, shards: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(index, count vector), in index order, of the `iter_assignments`
-    entries of the shard that pass `state_graph_isomorphism`'s exits before
-    its build: ``g`` has a graded root, and the legal moves, one per
-    out-edge of each vertex holding two or more pebbles, number the root's
-    valence.  So the vertices holding two or more pebbles form a heavy set
-    whose valences sum to the root's; each heavy set yields the vectors with
-    2..cap on it, 0..min(cap, 1) on the other non-sinks and 0 on the sinks,
-    and the heavy sets' vectors are merged by index."""
+    entries of the shard that pass two tests an isomorphism onto the state
+    graph forces.  It maps ``g``'s graded root to the root state, which has
+    one child per legal move, and it keeps out-degree.
+
+    - Root degree: the legal moves, one per out-edge of each vertex holding
+      two or more pebbles, number the root's valence.  So those vertices
+      form a heavy set whose valences sum to the root's.  This is also the
+      pair test's own exit before its build.
+    - Level 1: the children's move counts are, as a multiset, the valences
+      of the root's out-neighbours.  With M the root's valence, the child of
+      move u -> w has M - [c_u < 4] val(u) + [w light, c_w = 1] val(w) moves.
+
+    Within a heavy set the level-1 test reads only whether each heavy
+    vertex holds 2..3 or 4..cap pebbles and whether each light non-sink
+    that a heavy vertex points to holds 0 or 1.  Each such pattern is
+    decided once, and each one that passes yields its vectors: 0..min(cap,
+    1) on the other non-sinks and 0 on the sinks.  The patterns' vectors are
+    merged by index."""
     root = g.graded_root()
     if root is None:
         return iter(())
@@ -160,35 +171,63 @@ def _candidates(
     weights = [0] * len(valences)
     for k, i in enumerate(free):
         weights[i] = (cap + 1) ** k
-    light, heavy = range(min(cap, 1) + 1), range(2, cap + 1)
+    out = [[g.index(w) for w in g.out_neighbors(v)] for v in g.vertices]
+    r = g.index(root)
+    moves, wanted = valences[r], sorted(valences[w] for w in out[r])
+    light, low, high = range(min(cap, 1) + 1), range(2, min(cap, 3) + 1), range(4, cap + 1)
     streams = []
-    for chosen in _heavy_sets([valences[i] for i in free], valences[g.index(root)]):
-        heavy_vertices = {free[k] for k in chosen}
-        ranges = [heavy if i in heavy_vertices else light if d else (0,) for i, d in enumerate(valences)]
-        # The last vertex varies slowest, so each stream runs in index order.
-        numbered = ((sum(map(mul, c, weights)), c) for c in map(_lowest_first, product(*reversed(ranges))))
-        streams.append((idx, c) for idx, c in numbered if idx % shards == shard)
+    for chosen in _heavy_sets([valences[i] for i in free], moves):
+        heavy = {free[k] for k in chosen}
+        targets = {w for u in heavy for w in out[u] if valences[w]}
+        # Per vertex, its sub-ranges, each with the moves that the children
+        # of its own moves lose and those that the children of moves into
+        # it gain.
+        options = [
+            [(rng, loss, 0) for rng, loss in ((low, d), (high, 0)) if rng] if i in heavy
+            else [((c,), 0, c * d) for c in light] if i in targets
+            else [(light if d else (0,), 0, 0)]
+            for i, d in enumerate(valences)
+        ]
+        for pattern in product(*options):
+            children = sorted(moves - pattern[u][1] + pattern[w][2] for u in heavy for w in out[u])
+            if children != wanted:
+                continue
+            ranges = [rng for rng, _, _ in pattern]
+            # The last vertex varies slowest, so each stream runs in index order.
+            numbered = ((sum(map(mul, c, weights)), c) for c in map(_lowest_first, product(*reversed(ranges))))
+            streams.append((idx, c) for idx, c in numbered if idx % shards == shard)
     return merge(*streams)
+
+
+def _scan_hits(
+    graphs: list[tuple[int, OrientedGraph]], pebble_cap: int, shard: int = 0, shards: int = 1
+) -> list[Hit]:
+    """The hits of the assignments whose index is ``shard`` mod ``shards``
+    in each (graph position, graph): (graph position, index, full count
+    vector, fully_traversable) for every assignment whose state graph is
+    isomorphic to its graph.  Only the `_candidates` reach the pair test."""
+    hits: list[Hit] = []
+    for pos, g in graphs:
+        n = len(g.vertices)
+        for idx, counts in _candidates(g, pebble_cap, shard, shards):
+            a = Assignment._of_counts(g, counts)
+            if state_graph_isomorphism(g, a) is not None:
+                hits.append((pos, idx, counts, build(g, a, state_budget=n).is_fully_traversable()))
+    return hits
+
+
+def _box_size(g: OrientedGraph, pebble_cap: int) -> int:
+    """The number of ``g``'s assignments: 0..cap on each non-sink."""
+    return (pebble_cap + 1) ** sum(map(bool, g.valences()))
 
 
 def _scan_shard(
     graphs: list[OrientedGraph], pebble_cap: int, shard: int = 0, shards: int = 1
 ) -> tuple[list[Hit], int]:
-    """Scan, in every graph, the assignments whose index is ``shard`` mod
-    ``shards``.  Hits are (graph position, index, full count vector,
-    fully_traversable) for every assignment whose state graph is isomorphic
-    to its graph.  The count returned is of the assignments covered: all
-    of the shard's, of which only the `_candidates` reach the pair test."""
-    hits: list[Hit] = []
-    scanned = 0
-    for pos, g in enumerate(graphs):
-        n = len(g.vertices)
-        scanned += len(range(shard, (pebble_cap + 1) ** sum(map(bool, g.valences())), shards))
-        for idx, counts in _candidates(g, pebble_cap, shard, shards):
-            a = Assignment._of_counts(g, counts)
-            if state_graph_isomorphism(g, a) is not None:
-                hits.append((pos, idx, counts, build(g, a, state_budget=n).is_fully_traversable()))
-    return hits, scanned
+    """`_scan_hits` over every graph, and the number of assignments the
+    shard covers: all of its indices, visited or not."""
+    scanned = sum(len(range(shard, _box_size(g, pebble_cap), shards)) for g in graphs)
+    return _scan_hits(list(enumerate(graphs)), pebble_cap, shard, shards), scanned
 
 
 def scan_graph_assignments(
@@ -197,15 +236,17 @@ def scan_graph_assignments(
     """One scan over the joint assignment space of ``graphs``: the hits in
     (graph position, index) order and the number of assignments scanned.
     Several shards run as at most one worker process per CPU, each scanning
-    one residue class of every graph's assignment indices."""
+    one residue class of every graph's assignment indices.  Only the graphs
+    with a graded root, which alone can hit, are sent to the workers."""
     _check_cap(pebble_cap)
     workers = min(shards, os.cpu_count() or 1) if shards > 1 else 1
     if workers == 1:
         return _scan_shard(graphs, pebble_cap)
+    graded = [(pos, g) for pos, g in enumerate(graphs) if g.graded_root() is not None]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(partial(_scan_shard, graphs, pebble_cap, shards=workers), range(workers)))
-    hits = sorted((h for part in parts for h in part[0]), key=lambda h: h[:2])
-    return hits, sum(part[1] for part in parts)
+        parts = list(pool.map(partial(_scan_hits, graded, pebble_cap, shards=workers), range(workers)))
+    hits = sorted((h for part in parts for h in part), key=lambda h: h[:2])
+    return hits, sum(_box_size(g, pebble_cap) for g in graphs)
 
 
 def reduce_modulo_automorphisms(

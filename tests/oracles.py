@@ -51,10 +51,13 @@ the shard, in index order, through ``classify.state_graph_isomorphism``,
 with each hit's state graph rebuilt for its full traversability.
 ``classify._scan_shard``, which visits only the heavy-set vectors of graded
 classes, must return the same hits and the same count.
-``reference_scan_movers`` lists the box vectors that can pass the pair
-test's exits before its build (graded root by ``reference_graded_root``,
-listed legal moves as many as the root's valence); they are exactly the
-vectors that ``_scan_shard`` hands to the pair test, in the same order.
+``reference_scan_movers`` lists the box vectors that an isomorphism onto
+the state graph does not yet rule out at the root and its children: graded
+root by ``reference_graded_root``, listed legal moves as many as the root's
+valence, and each move's child, made by ``apply_move``, with listed legal
+moves whose multiset equals that of the valences of the root's
+out-neighbours.  They are exactly the vectors that ``_scan_shard`` hands to
+the pair test, in the same order.
 
 ``reference_built_isomorphism`` is the earlier direct test of a graph
 against its built state graph, which named every state before comparing any
@@ -501,7 +504,11 @@ def reference_scan_movers(graphs: list[OrientedGraph], cap: int, shard: int = 0,
         root = reference_graded_root(g)
         if root is None:
             continue
+        wanted = sorted(g.valence(w) for w in g.out_neighbors(root))
         for _, a in reference_iter_assignments(g, cap, shard, shards):
-            if len(a.legal_moves()) == g.valence(root):
+            moves = a.legal_moves()
+            if len(moves) != g.valence(root):
+                continue
+            if sorted(len(a.apply_move(e).legal_moves()) for e in moves) == wanted:
                 movers.append((pos, a.counts))
     return movers

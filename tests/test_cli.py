@@ -247,9 +247,11 @@ def test_thm_3_1_counterexample_names_the_isomorphic_assignment(capsys, monkeypa
     from pebblab import Assignment, downward_cycle
 
     real = classify.state_graph_isomorphism
-    # Two pebbles on the top make two legal moves, as the top has out-edges,
-    # so the scan visits this vector; its three states fit the scan's rebuild.
-    planted = Assignment(downward_cycle(6), {"top": 2})
+    # Two pebbles on the top make two legal moves, as the top has two
+    # out-edges, and one pebble on each of its out-neighbours gives each
+    # child one move, as each out-neighbour has valence 1; so the scan
+    # visits this vector; its five states fit the scan's rebuild.
+    planted = Assignment(downward_cycle(6), {"top": 2, "l1": 1, "r1": 1})
     monkeypatch.setattr(
         classify, "state_graph_isomorphism", lambda g, a: "fake" if a == planted else real(g, a)
     )

@@ -319,6 +319,15 @@ def test_thm_3_1_small():
     assert report.stats["scanned"] == 4**5
 
 
+def test_thm_3_1_ten_cycle_at_cap_6():
+    # 40,353,607 assignments covered; the level-1 out-degree test in the
+    # candidate generator leaves 6,656 of them to visit.
+    report = verify_thm_3_1(10, 6)
+    assert report.verdict == HOLDS
+    assert report.stats["isomorphic_found"] == 0
+    assert report.stats["scanned"] == 7**9
+
+
 # -- thm 4.1 ------------------------------------------------------------------
 
 
@@ -552,8 +561,8 @@ def test_pruned_scan_matches_the_box_scan(monkeypatch):
     # Every class up to 4 vertices at caps 0-6, every 5-vertex class at cap
     # 3, and the downward 6- and 8-cycles at caps up to 5 and 3, each shard
     # of 1, 2 and 3 shards.  The pair test sees exactly the box vectors that
-    # can pass its exits before the build, so a dropped or an extra vector
-    # fails even when it is not a hit.
+    # pass the root-degree and level-1 out-degree tests, so a dropped or an
+    # extra vector fails even when it is not a hit.
     real = classify.state_graph_isomorphism
     for graphs, cap in _scan_cases():
         position = {id(g): pos for pos, g in enumerate(graphs)}
