@@ -7,11 +7,13 @@ graph numbers its own assignments, and shard s of N takes the indices equal
 to s mod N in every graph, so any shard count yields the same instances, and
 results merge deterministically by (graph position, index).
 
-A scan covers every capped assignment but visits only those that can still
-pass `state_graph_isomorphism`: none on a graph without a graded root, and
-on a graded graph only the vectors whose legal moves number the root's
-valence, generated heavy set by heavy set.  The rest are counted, not
-visited.
+A scan covers every capped assignment but visits only those that an
+isomorphism onto the state graph does not rule out at the root and its
+children: none on a graph without a graded root, and on a graded graph only
+the vectors whose legal moves number the root's valence and whose root's
+children have the move counts that the root's out-neighbours have as
+valences.  They are generated heavy set by heavy set, one pattern of
+sub-ranges at a time.  The rest are counted, not visited.
 """
 
 from __future__ import annotations
