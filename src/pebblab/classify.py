@@ -8,11 +8,15 @@ to s mod N in every graph, so any shard count yields the same instances, and
 results merge deterministically by (graph position, index).
 
 A scan covers every capped assignment but visits only those that an
-isomorphism onto the state graph does not rule out at the root and its
-children: none on a graph without a graded root, and on a graded graph only
-the vectors whose legal moves number the root's valence and whose root's
+isomorphism onto the state graph does not rule out at the root's first two
+levels: none on a graph without a graded root, and on a graded graph only
+the vectors whose legal moves number the root's valence, whose root's
 children have the move counts that the root's out-neighbours have as
-valences.  They are generated heavy set by heavy set, one pattern of
+valences, and whose root's grandchildren have the in-degrees that the
+graph's level-2 vertices have.  An isomorphism maps the graded root to the
+root state and keeps the distance from it, out-degree and in-degree; both
+graphs are graded, so every in-edge of a level-2 state or vertex comes from
+level 1.  The vectors are generated heavy set by heavy set, one pattern of
 sub-ranges at a time.  The rest are counted, not visited.
 """
 
@@ -143,13 +147,36 @@ def _heavy_sets(valences: Sequence[int], target: int, start: int = 0) -> Iterato
                 yield (k, *rest)
 
 
+def _grandchild_in_degrees(
+    out: list[list[int]], keys: list[list[int]], ranges: list[Sequence[int]], heavy: set[int], movers: set[int]
+) -> list[int]:
+    """The sorted in-degrees of the states two moves below the root, where
+    vertex i holds a count in ``ranges[i]``, the ``heavy`` vertices two or
+    more, and only ``movers`` can hold two or more after one move.  Whether
+    a vertex can move after one move is the same for every count in its
+    range, so the range's least count decides it.  Distinct moves from one
+    state reach distinct states, so a state's in-degree is the number of
+    two-move sequences that reach it, which the sum of their ``keys``
+    names."""
+    reached: dict[int, int] = {}
+    for u in heavy:
+        for w, first in zip(out[u], keys[u]):
+            for t in movers:
+                if ranges[t][0] - 2 * (t == u) + (t == w) >= 2:
+                    for second in keys[t]:
+                        state = first + second
+                        reached[state] = reached.get(state, 0) + 1
+    return sorted(reached.values())
+
+
 def _candidates(
     g: OrientedGraph, cap: int, shard: int, shards: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(index, count vector), in index order, of the `iter_assignments`
-    entries of the shard that pass two tests an isomorphism onto the state
+    entries of the shard that pass three tests an isomorphism onto the state
     graph forces.  It maps ``g``'s graded root to the root state, which has
-    one child per legal move, and it keeps out-degree.
+    one child per legal move, and it keeps the distance from the root,
+    out-degree and in-degree.
 
     - Root degree: the legal moves, one per out-edge of each vertex holding
       two or more pebbles, number the root's valence.  So those vertices
@@ -158,13 +185,18 @@ def _candidates(
     - Level 1: the children's move counts are, as a multiset, the valences
       of the root's out-neighbours.  With M the root's valence, the child of
       move u -> w has M - [c_u < 4] val(u) + [w light, c_w = 1] val(w) moves.
+    - Level 2: the grandchildren's in-degrees are, as a multiset, those of
+      ``g``'s level-2 vertices.  Both graphs are graded, so each of those
+      in-edges comes from level 1.  After move u -> w, vertex t can move
+      exactly when t is heavy and t != u, or t = u holds 4..cap pebbles, or
+      t = w is light and holds 1; no other light vertex holds two pebbles.
 
-    Within a heavy set the level-1 test reads only whether each heavy
-    vertex holds 2..3 or 4..cap pebbles and whether each light non-sink
-    that a heavy vertex points to holds 0 or 1.  Each such pattern is
-    decided once, and each one that passes yields its vectors: 0..min(cap,
-    1) on the other non-sinks and 0 on the sinks.  The patterns' vectors are
-    merged by index."""
+    Within a heavy set both level tests read only whether each heavy vertex
+    holds 2..3 or 4..cap pebbles and whether each light non-sink that a
+    heavy vertex points to holds 0 or 1.  Each such pattern is decided once,
+    and each one that passes yields its vectors: 0..min(cap, 1) on the other
+    non-sinks and 0 on the sinks.  The patterns' vectors are merged by
+    index."""
     root = g.graded_root()
     if root is None:
         return iter(())
@@ -176,6 +208,7 @@ def _candidates(
     out = [[g.index(w) for w in g.out_neighbors(v)] for v in g.vertices]
     r = g.index(root)
     moves, wanted = valences[r], sorted(valences[w] for w in out[r])
+    wanted2 = None  # g's level-2 in-degrees, once some pattern passes level 1
     light, low, high = range(min(cap, 1) + 1), range(2, min(cap, 3) + 1), range(4, cap + 1)
     streams = []
     for chosen in _heavy_sets([valences[i] for i in free], moves):
@@ -195,6 +228,18 @@ def _candidates(
             if children != wanted:
                 continue
             ranges = [rng for rng, _, _ in pattern]
+            if wanted2 is None:
+                # g is graded, so each in-edge of a level-2 vertex leaves level 1.
+                level2 = [x for w in out[r] for x in out[w]]
+                wanted2 = sorted(map(level2.count, set(level2)))
+                # Each move's key: 2 16^tail - 16^head.  A sum of two keys
+                # has signed base-16 digits in -2..4, so it names the state
+                # the two moves reach.
+                keys = [[(2 << 4 * u) - (1 << 4 * w) for w in ws] for u, ws in enumerate(out)]
+            # Without a level 2 the level-1 vertices are sinks, so a pattern
+            # that passed level 1 has no grandchild.
+            if wanted2 and _grandchild_in_degrees(out, keys, ranges, heavy, heavy | targets) != wanted2:
+                continue
             # The last vertex varies slowest, so each stream runs in index order.
             numbered = ((sum(map(mul, c, weights)), c) for c in map(_lowest_first, product(*reversed(ranges))))
             streams.append((idx, c) for idx, c in numbered if idx % shards == shard)

@@ -52,12 +52,14 @@ with each hit's state graph rebuilt for its full traversability.
 ``classify._scan_shard``, which visits only the heavy-set vectors of graded
 classes, must return the same hits and the same count.
 ``reference_scan_movers`` lists the box vectors that an isomorphism onto
-the state graph does not yet rule out at the root and its children: graded
-root by ``reference_graded_root``, listed legal moves as many as the root's
-valence, and each move's child, made by ``apply_move``, with listed legal
-moves whose multiset equals that of the valences of the root's
-out-neighbours.  They are exactly the vectors that ``_scan_shard`` hands to
-the pair test, in the same order.
+the state graph does not yet rule out at the root's first two levels:
+graded root by ``reference_graded_root``, listed legal moves as many as the
+root's valence, each move's child, made by ``apply_move``, with listed
+legal moves whose multiset equals that of the valences of the root's
+out-neighbours, and the children's children, made the same way, with
+parent counts whose multiset equals that of the in-degrees of the vertices
+at ``_source_distances`` level 2.  They are exactly the vectors that
+``_scan_shard`` hands to the pair test, in the same order.
 
 ``reference_built_isomorphism`` is the earlier direct test of a graph
 against its built state graph, which named every state before comparing any
@@ -504,11 +506,23 @@ def reference_scan_movers(graphs: list[OrientedGraph], cap: int, shard: int = 0,
         root = reference_graded_root(g)
         if root is None:
             continue
+        n = len(g.vertices)
+        out_adj = [{g.index(w) for w in g.out_neighbors(v)} for v in g.vertices]
+        in_adj = [{g.index(u) for u in g.in_neighbors(v)} for v in g.vertices]
+        dist = _source_distances(n, out_adj, in_adj)
         wanted = sorted(g.valence(w) for w in g.out_neighbors(root))
+        wanted_in = sorted(len(in_adj[v]) for v in range(n) if dist[v] == 2)
         for _, a in reference_iter_assignments(g, cap, shard, shards):
             moves = a.legal_moves()
             if len(moves) != g.valence(root):
                 continue
-            if sorted(len(a.apply_move(e).legal_moves()) for e in moves) == wanted:
+            children = [a.apply_move(e) for e in moves]
+            if sorted(len(b.legal_moves()) for b in children) != wanted:
+                continue
+            parents: dict[Assignment, set[Assignment]] = {}
+            for b in children:
+                for e in b.legal_moves():
+                    parents.setdefault(b.apply_move(e), set()).add(b)
+            if sorted(map(len, parents.values())) == wanted_in:
                 movers.append((pos, a.counts))
     return movers

@@ -249,8 +249,10 @@ def test_thm_3_1_counterexample_names_the_isomorphic_assignment(capsys, monkeypa
     real = classify.state_graph_isomorphism
     # Two pebbles on the top make two legal moves, as the top has two
     # out-edges, and one pebble on each of its out-neighbours gives each
-    # child one move, as each out-neighbour has valence 1; so the scan
-    # visits this vector; its five states fit the scan's rebuild.
+    # child one move, as each out-neighbour has valence 1.  Each child's
+    # move reaches its own grandchild, so the two level-2 states have
+    # in-degree 1, as l2 and r2 do; so the scan visits this vector; its
+    # five states fit the scan's rebuild.
     planted = Assignment(downward_cycle(6), {"top": 2, "l1": 1, "r1": 1})
     monkeypatch.setattr(
         classify, "state_graph_isomorphism", lambda g, a: "fake" if a == planted else real(g, a)

@@ -320,12 +320,21 @@ def test_thm_3_1_small():
 
 
 def test_thm_3_1_ten_cycle_at_cap_6():
-    # 40,353,607 assignments covered; the level-1 out-degree test in the
-    # candidate generator leaves 6,656 of them to visit.
+    # 40,353,607 assignments covered; the level-1 and level-2 tests in the
+    # candidate generator leave 128 of them to visit.
     report = verify_thm_3_1(10, 6)
     assert report.verdict == HOLDS
     assert report.stats["isomorphic_found"] == 0
     assert report.stats["scanned"] == 7**9
+
+
+def test_thm_3_1_sixteen_cycle_at_cap_6():
+    # 4.7e12 assignments covered; the level-2 in-degree test leaves 8,192
+    # of them to visit, as it does at cap 4.
+    report = verify_thm_3_1(16, 6)
+    assert report.verdict == HOLDS
+    assert report.stats["isomorphic_found"] == 0
+    assert report.stats["scanned"] == 7**15
 
 
 # -- thm 4.1 ------------------------------------------------------------------
@@ -561,8 +570,8 @@ def test_pruned_scan_matches_the_box_scan(monkeypatch):
     # Every class up to 4 vertices at caps 0-6, every 5-vertex class at cap
     # 3, and the downward 6- and 8-cycles at caps up to 5 and 3, each shard
     # of 1, 2 and 3 shards.  The pair test sees exactly the box vectors that
-    # pass the root-degree and level-1 out-degree tests, so a dropped or an
-    # extra vector fails even when it is not a hit.
+    # pass the root-degree, level-1 out-degree and level-2 in-degree tests,
+    # so a dropped or an extra vector fails even when it is not a hit.
     real = classify.state_graph_isomorphism
     for graphs, cap in _scan_cases():
         position = {id(g): pos for pos, g in enumerate(graphs)}
