@@ -17,7 +17,10 @@ graph's level-2 vertices have.  An isomorphism maps the graded root to the
 root state and keeps the distance from it, out-degree and in-degree; both
 graphs are graded, so every in-edge of a level-2 state or vertex comes from
 level 1.  The vectors are generated heavy set by heavy set, one pattern of
-sub-ranges at a time.  The rest are counted, not visited.
+sub-ranges at a time.  The rest are counted, not visited.  Each visited
+vector's state graph is built once, and that build decides both the
+isomorphism and full traversability.  Thm-7.2's assignment search visits
+the same candidates.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ def iter_assignments(
     """(index, assignment) with the `iter_count_vectors` entries on the
     non-sink vertices, in vertex order, and zero on every sink."""
     vectors = _vectors(g.valences(), cap, shard, shards)
-    return zip(count(shard, shards), map(Assignment._of_counts, repeat(g), vectors))
+    return zip(count(shard, shards), map(Assignment, repeat(g), vectors))
 
 
 def _heavy_sets(valences: Sequence[int], target: int, start: int = 0) -> Iterator[tuple[int, ...]]:
@@ -252,14 +255,20 @@ def _scan_hits(
     """The hits of the assignments whose index is ``shard`` mod ``shards``
     in each (graph position, graph): (graph position, index, full count
     vector, fully_traversable) for every assignment whose state graph is
-    isomorphic to its graph.  Only the `_candidates` reach the pair test."""
+    isomorphic to its graph.  Only the `_candidates` are visited; they pass
+    `state_graph_isomorphism`'s exits before its build, so each is built
+    once, capped at |V(g)| states, and that build decides both the
+    isomorphism and full traversability."""
     hits: list[Hit] = []
     for pos, g in graphs:
         n = len(g.vertices)
         for idx, counts in _candidates(g, pebble_cap, shard, shards):
-            a = Assignment._of_counts(g, counts)
-            if state_graph_isomorphism(g, a) is not None:
-                hits.append((pos, idx, counts, build(g, a, state_budget=n).is_fully_traversable()))
+            try:
+                ag = build(g, Assignment(g, counts), state_budget=n)
+            except StateBudgetExceededError:
+                continue
+            if built_isomorphism(g, ag) is not None:
+                hits.append((pos, idx, counts, ag.is_fully_traversable()))
     return hits
 
 
@@ -268,31 +277,24 @@ def _box_size(g: OrientedGraph, pebble_cap: int) -> int:
     return (pebble_cap + 1) ** sum(map(bool, g.valences()))
 
 
-def _scan_shard(
-    graphs: list[OrientedGraph], pebble_cap: int, shard: int = 0, shards: int = 1
-) -> tuple[list[Hit], int]:
-    """`_scan_hits` over every graph, and the number of assignments the
-    shard covers: all of its indices, visited or not."""
-    scanned = sum(len(range(shard, _box_size(g, pebble_cap), shards)) for g in graphs)
-    return _scan_hits(list(enumerate(graphs)), pebble_cap, shard, shards), scanned
-
-
 def scan_graph_assignments(
     graphs: list[OrientedGraph], pebble_cap: int, shards: int = 1
 ) -> tuple[list[Hit], int]:
     """One scan over the joint assignment space of ``graphs``: the hits in
-    (graph position, index) order and the number of assignments scanned.
-    Several shards run as at most one worker process per CPU, each scanning
-    one residue class of every graph's assignment indices.  Only the graphs
-    with a graded root, which alone can hit, are sent to the workers."""
+    (graph position, index) order and the number of assignments scanned,
+    which counts every box index, visited or not.  Only the graphs with a
+    graded root, which alone can hit, are scanned.  Several shards run as at
+    most one worker process per CPU, each scanning one residue class of
+    every graph's assignment indices."""
     _check_cap(pebble_cap)
+    graded = [(pos, g) for pos, g in enumerate(graphs) if g.graded_root() is not None]
     workers = min(shards, os.cpu_count() or 1) if shards > 1 else 1
     if workers == 1:
-        return _scan_shard(graphs, pebble_cap)
-    graded = [(pos, g) for pos, g in enumerate(graphs) if g.graded_root() is not None]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(partial(_scan_hits, graded, pebble_cap, shards=workers), range(workers)))
-    hits = sorted((h for part in parts for h in part), key=lambda h: h[:2])
+        hits = _scan_hits(graded, pebble_cap)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(partial(_scan_hits, graded, pebble_cap, shards=workers), range(workers)))
+        hits = sorted((h for part in parts for h in part), key=lambda h: h[:2])
     return hits, sum(_box_size(g, pebble_cap) for g in graphs)
 
 

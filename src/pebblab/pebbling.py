@@ -45,15 +45,6 @@ class Assignment:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "counts", counts)
 
-    @classmethod
-    def _of_counts(cls, graph: OrientedGraph, counts: tuple[int, ...]) -> "Assignment":
-        """Unchecked constructor for a scan's own vectors: ``counts`` must
-        already be a tuple of non-negative ints, one per vertex of ``graph``."""
-        a = object.__new__(cls)
-        _set_graph(a, graph)
-        _set_counts(a, counts)
-        return a
-
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Assignment is immutable")
 
@@ -115,11 +106,6 @@ class Assignment:
         counts[iu] -= 2
         counts[iw] += 1
         return Assignment(self.graph, counts)
-
-
-# The slots' own setters, which the immutability guard does not intercept.
-_set_graph = Assignment.graph.__set__
-_set_counts = Assignment.counts.__set__
 
 
 # -- assignment families ----------------------------------------------------

@@ -20,10 +20,12 @@ from itertools import combinations_with_replacement, count, product
 from .assignment_graph import DEFAULT_STATE_BUDGET, AssignmentGraph, build, find_downward_4_cycle
 from .classify import (
     ClassificationResult,
+    _box_size,
+    _candidates,
+    _check_cap,
     built_isomorphism,
     canonical_pair_key,
     classify_downward_4_cycle,
-    iter_assignments,
     scan_graph_assignments,
     search_isomorphic_pairs,
     state_graph_isomorphism,
@@ -735,12 +737,16 @@ def verify_thm_7_2(
     """Build the state graph of the oriented complete bipartite graph with
     two or three pebbles per source, then (a) find the bipartite pattern as
     an oriented subgraph of it and (b) search bounded assignments making it
-    isomorphic to its own state graph.  Each search tries at most
-    ``search_budget`` candidates.
+    isomorphic to its own state graph.  The subgraph search tries at most
+    ``search_budget`` candidates, and the assignment search covers at most
+    ``search_budget`` assignment indices, trying only the `_candidates`
+    among them: the construction is a state graph, so it is graded, and
+    every other assignment fails the pair test before its build.
 
     The assignment search is best effort: exhausting the cap without a
     finding is reported as budget-exceeded, not as a refutation.
     """
+    _check_cap(search_cap)
     params = {"n": n, "m": m, "pebbles": source_pebbles, "search_cap": search_cap}
 
     def report(verdict: str, what: str = " inside its own state graph", **kwargs):
@@ -763,22 +769,24 @@ def verify_thm_7_2(
     if submap is None:
         notes = ("the bipartite pattern does not occur as an oriented subgraph",)
         return report(COUNTEREXAMPLE, stats=stats, notes=notes)
-    scanned = 0
-    for _, candidate in iter_assignments(g, search_cap):
-        if scanned == search_budget:
-            stats.update(assignments_scanned=scanned, search_budget=search_budget)
-            return report(BUDGET_EXCEEDED, " construction", stats=stats)
-        scanned += 1
+    for idx, counts in _candidates(g, search_cap, 0, 1):
+        if idx >= search_budget:
+            break
+        candidate = Assignment(g, counts)
         iso = state_graph_isomorphism(g, candidate)
         if iso is not None:
-            stats["assignments_scanned"] = scanned
+            stats["assignments_scanned"] = idx + 1
             witness = {
                 "subgraph": submap.mapping,
                 "assignment": candidate.as_dict(),
                 "isomorphism": iso.to_json_obj()["map"],
             }
             return report(HOLDS, witness=witness, stats=stats, instance_text=format_assignment(candidate))
-    stats["assignments_scanned"] = scanned
+    box = _box_size(g, search_cap)
+    if box > search_budget:
+        stats.update(assignments_scanned=search_budget, search_budget=search_budget)
+        return report(BUDGET_EXCEEDED, " construction", stats=stats)
+    stats["assignments_scanned"] = box
     notes = (f"no isomorphic assignment with counts up to {search_cap}; absence beyond the cap unproven",)
     return report(BUDGET_EXCEEDED, stats=stats, notes=notes)
 

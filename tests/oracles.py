@@ -48,9 +48,10 @@ counted the initial legal moves by listing them;
 
 ``reference_scan`` is the earlier box scan: every capped assignment of
 the shard, in index order, through ``classify.state_graph_isomorphism``,
-with each hit's state graph rebuilt for its full traversability.
-``classify._scan_shard``, which visits only the heavy-set vectors of graded
-classes, must return the same hits and the same count.
+with a second build of each hit's state graph for its full traversability.
+``classify._scan_hits``, which visits only the heavy-set vectors of graded
+classes and builds each once, must return the same hits, and
+``classify.scan_graph_assignments`` also the same count.
 ``reference_scan_movers`` lists the box vectors that an isomorphism onto
 the state graph does not yet rule out at the root's first two levels:
 graded root by ``reference_graded_root``, listed legal moves as many as the
@@ -59,7 +60,14 @@ legal moves whose multiset equals that of the valences of the root's
 out-neighbours, and the children's children, made the same way, with
 parent counts whose multiset equals that of the in-degrees of the vertices
 at ``_source_distances`` level 2.  They are exactly the vectors that
-``_scan_shard`` hands to the pair test, in the same order.
+``_scan_hits`` builds, once each, in the same order.
+
+``reference_thm_7_2_scan`` is the earlier thm-7.2 check, whose assignment
+search walked the whole box in index order, stopping when ``search_budget``
+assignments had been tried; it hands ``classify.state_graph_isomorphism``
+every vector whose legal moves, counted directly, number the root's valence.
+``theorems.verify_thm_7_2``, which tries only the ``classify._candidates``
+among the first ``search_budget`` box indices, must return the same report.
 
 ``reference_built_isomorphism`` is the earlier direct test of a graph
 against its built state graph, which named every state before comparing any
@@ -73,11 +81,16 @@ from itertools import combinations, permutations, product
 
 from pebblab import (
     Assignment,
+    BudgetExceededError,
     OrientedGraph,
     StateBudgetExceededError,
+    VerificationReport,
     build,
     canonical_form,
     digraph_isomorphic,
+    find_oriented_subgraph,
+    format_assignment,
+    oriented_complete_bipartite,
 )
 from pebblab.classify import built_isomorphism, iter_count_vectors, state_graph_isomorphism
 from pebblab.generate import _masks
@@ -526,3 +539,54 @@ def reference_scan_movers(graphs: list[OrientedGraph], cap: int, shard: int = 0,
             if sorted(map(len, parents.values())) == wanted_in:
                 movers.append((pos, a.counts))
     return movers
+
+
+def reference_thm_7_2_scan(n: int, m: int, pebbles: int, search_cap: int, search_budget: int):
+    params = {"n": n, "m": m, "pebbles": pebbles, "search_cap": search_cap}
+
+    def report(verdict, what=" inside its own state graph", **kwargs):
+        return VerificationReport("thm-7.2", f"K({n},{m}){what}", verdict, params=params, **kwargs)
+
+    k_graph = oriented_complete_bipartite(n, m)
+    ag = build(k_graph, Assignment(k_graph, {f"a{i}": pebbles for i in range(1, n + 1)}))
+    g = ag.as_oriented_graph()
+    stats = {"construction_vertices": len(g.vertices), "construction_edges": len(g.edges)}
+    try:
+        submap = find_oriented_subgraph(k_graph, g, search_budget)
+    except BudgetExceededError as exc:
+        stats[exc.resource] = exc.budget
+        notes = ("the oriented-subgraph search hit its search budget",)
+        return report("budget-exceeded", stats=stats, notes=notes)
+    if submap is None:
+        notes = ("the bipartite pattern does not occur as an oriented subgraph",)
+        return report("counterexample", stats=stats, notes=notes)
+    # The pair test's first exit, read off the vector: the construction is
+    # graded, and an assignment whose legal moves do not number its root's
+    # valence is never isomorphic.
+    non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
+    valences = [g.valence(g.vertices[i]) for i in non_sink]
+    root_moves = g.valence(g.sources()[0])
+    scanned = 0
+    for _, vec in iter_count_vectors(len(non_sink), search_cap):
+        if scanned == search_budget:
+            stats.update(assignments_scanned=scanned, search_budget=search_budget)
+            return report("budget-exceeded", " construction", stats=stats)
+        scanned += 1
+        if sum(d for c, d in zip(vec, valences) if c >= 2) != root_moves:
+            continue
+        counts = [0] * len(g.vertices)
+        for i, c in zip(non_sink, vec):
+            counts[i] = c
+        a = Assignment(g, counts)
+        iso = state_graph_isomorphism(g, a)
+        if iso is not None:
+            stats["assignments_scanned"] = scanned
+            witness = {
+                "subgraph": submap.mapping,
+                "assignment": a.as_dict(),
+                "isomorphism": iso.to_json_obj()["map"],
+            }
+            return report("holds", witness=witness, stats=stats, instance_text=format_assignment(a))
+    stats["assignments_scanned"] = scanned
+    notes = (f"no isomorphic assignment with counts up to {search_cap}; absence beyond the cap unproven",)
+    return report("budget-exceeded", stats=stats, notes=notes)

@@ -246,16 +246,16 @@ def test_thm_3_1_counterexample_names_the_isomorphic_assignment(capsys, monkeypa
     import pebblab.classify as classify
     from pebblab import Assignment, downward_cycle
 
-    real = classify.state_graph_isomorphism
+    real = classify.built_isomorphism
     # Two pebbles on the top make two legal moves, as the top has two
     # out-edges, and one pebble on each of its out-neighbours gives each
     # child one move, as each out-neighbour has valence 1.  Each child's
     # move reaches its own grandchild, so the two level-2 states have
-    # in-degree 1, as l2 and r2 do; so the scan visits this vector; its
-    # five states fit the scan's rebuild.
+    # in-degree 1, as l2 and r2 do; so the scan visits this vector, and its
+    # five states fit the scan's cap of six.
     planted = Assignment(downward_cycle(6), {"top": 2, "l1": 1, "r1": 1})
     monkeypatch.setattr(
-        classify, "state_graph_isomorphism", lambda g, a: "fake" if a == planted else real(g, a)
+        classify, "built_isomorphism", lambda g, ag: "fake" if ag.states[0] == planted.counts else real(g, ag)
     )
     assert main(["verify", "thm-3.1", "--k", "6", "--cap", "2", "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -409,6 +409,19 @@ def test_verify_usage_errors_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_thm_7_2_checks_its_search_cap_before_any_build(capsys, monkeypatch):
+    from pebblab import theorems
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("state graph built before the search cap was checked")
+
+    monkeypatch.setattr(theorems, "build", refuse)
+    assert main(["verify", "thm-7.2", "--n", "2", "--m", "1", "--search-cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pebble cap must be non-negative, got -1" in captured.err
 
 
 def test_bad_budget_environment_is_a_usage_error(capsys, instance_file, monkeypatch):

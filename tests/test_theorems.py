@@ -5,6 +5,8 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -77,6 +79,7 @@ from oracles import (
     reference_scan_movers,
     reference_state_graph_isomorphism,
     reference_thm_2_1,
+    reference_thm_7_2_scan,
 )
 
 
@@ -501,6 +504,28 @@ def test_thm_7_2_search_budget_caps_the_subgraph_search_and_the_scan():
     assert verify_thm_7_2(2, 2).verdict == HOLDS
 
 
+def test_thm_7_2_matches_the_box_scan():
+    # K(n, m) for n, m <= 3 with n m <= 6, pebbles 2-3, search caps 0-4 and
+    # budgets from one that stops the subgraph search to one past every box
+    # here but K(3,2)'s.  K(2,2) at cap 1 has 32 assignments and no hit, so
+    # budgets 31 and 32 fall on either side of the box's end; at cap 2 its
+    # first hit has index 60, so budgets 60 and 61 fall on either side of it.
+    cases = [
+        (n, m, pebbles, cap, budget)
+        for n, m in product(range(1, 4), repeat=2) if n * m <= 6
+        for pebbles in (2, 3)
+        for cap in range(5)
+        for budget in (1, 5, 50, 300, 10**6)
+    ] + [(2, 2, 2, 1, 31), (2, 2, 2, 1, 32), (2, 2, 2, 2, 60), (2, 2, 2, 2, 61)]
+    verdicts = Counter()
+    for case in cases:
+        got = verify_thm_7_2(*case[:4], search_budget=case[4]).to_json_obj()
+        assert got == reference_thm_7_2_scan(*case).to_json_obj(), case
+        verdicts[got["verdict"]] += 1
+    assert verdicts == {HOLDS: 115, BUDGET_EXCEEDED: 289}
+    assert verify_thm_7_2(2, 2, 2, 1, search_budget=32).notes[0].startswith("no isomorphic assignment")
+
+
 def test_count_vectors_match_the_base_conversion():
     for length in range(6):
         for cap in range(4):
@@ -569,31 +594,34 @@ def _scan_cases():
 def test_pruned_scan_matches_the_box_scan(monkeypatch):
     # Every class up to 4 vertices at caps 0-6, every 5-vertex class at cap
     # 3, and the downward 6- and 8-cycles at caps up to 5 and 3, each shard
-    # of 1, 2 and 3 shards.  The pair test sees exactly the box vectors that
+    # of 1, 2 and 3 shards.  The scan builds exactly the box vectors that
     # pass the root-degree, level-1 out-degree and level-2 in-degree tests,
-    # so a dropped or an extra vector fails even when it is not a hit.
-    real = classify.state_graph_isomorphism
+    # each once, so a dropped, an extra or a repeated build fails even when
+    # it is not a hit.
+    real = classify.build
     for graphs, cap in _scan_cases():
         position = {id(g): pos for pos, g in enumerate(graphs)}
         merged = []
         for shards in range(1, 4):
             hits, scanned = [], 0
             for shard in range(shards):
-                visited = []
+                built = []
 
-                def recording(g, a):
-                    visited.append((position[id(g)], a.counts))
-                    return real(g, a)
+                def recording(g, a, **kwargs):
+                    built.append((position[id(g)], a.counts))
+                    return real(g, a, **kwargs)
 
-                monkeypatch.setattr(classify, "state_graph_isomorphism", recording)
-                got = classify._scan_shard(graphs, cap, shard, shards)
-                monkeypatch.setattr(classify, "state_graph_isomorphism", real)
-                assert got == reference_scan(graphs, cap, shard, shards), (cap, shard, shards)
-                assert visited == reference_scan_movers(graphs, cap, shard, shards), (cap, shard, shards)
-                hits += got[0]
-                scanned += got[1]
+                monkeypatch.setattr(classify, "build", recording)
+                got = classify._scan_hits(list(enumerate(graphs)), cap, shard, shards)
+                monkeypatch.setattr(classify, "build", real)
+                want, covered = reference_scan(graphs, cap, shard, shards)
+                assert got == want, (cap, shard, shards)
+                assert built == reference_scan_movers(graphs, cap, shard, shards), (cap, shard, shards)
+                hits += got
+                scanned += covered
             merged.append((sorted(hits, key=lambda h: h[:2]), scanned))
         assert merged[0] == merged[1] == merged[2], cap
+        assert classify.scan_graph_assignments(graphs, cap) == merged[0], cap
 
 
 def test_five_vertex_search_at_cap_3_is_frozen():
