@@ -18,9 +18,7 @@ root state and keeps the distance from it, out-degree and in-degree; both
 graphs are graded, so every in-edge of a level-2 state or vertex comes from
 level 1.  The vectors are generated heavy set by heavy set, one pattern of
 sub-ranges at a time.  The rest are counted, not visited.  Each visited
-vector's state graph is built once, and that build decides both the
-isomorphism and full traversability.  Thm-7.2's assignment search visits
-the same candidates.
+vector is built once, for both the isomorphism and full traversability.
 """
 
 from __future__ import annotations
@@ -49,16 +47,12 @@ def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | Non
     """Witness that ``g`` is isomorphic to its own state graph under ``a``,
     or ``None`` (a definite no).
 
-    Uses sound early exits.  Every move lowers the pebble total by exactly
-    one, and every state is reached from the root ``a`` by moves; so a
-    path from the root to a state s has length total(a) - total(s), which
-    is therefore s's breadth-first depth, and every transition goes from
-    depth d to d + 1.  The root has no incoming transition, and every other
-    state has one, so the root is the only source.  These properties survive an isomorphism, so ``g``
-    must have a `graded_root`, an isomorphism must map it to the root, and
-    its valence must equal the root's out-degree: the number of legal moves
-    of ``a``.  Last, more than |V(g)| states already rules the isomorphism
-    out, so the builder runs with |V(g)| as its cap.
+    Uses sound early exits.  Every move lowers the pebble total by one, and
+    every state is reached from the root ``a`` by moves, so a state's
+    breadth-first depth is total(a) - total(s), every transition goes one
+    level down, and the root is the only source.  An isomorphism keeps
+    this, so ``g`` must have a `graded_root`, mapped to the root, whose
+    valence is the number of legal moves of ``a``.
     """
     root = g.graded_root()
     if root is None:
@@ -67,11 +61,19 @@ def state_graph_isomorphism(g: OrientedGraph, a: Assignment) -> IsoMapping | Non
     moves = sum(d for c, d in zip(a.counts, g.valences()) if c >= 2)
     if moves != g.valence(root):
         return None
+    found = _built_witness(g, a)
+    return found[1] if found else None
+
+
+def _built_witness(g: OrientedGraph, a: Assignment) -> tuple[AssignmentGraph, IsoMapping] | None:
+    """``a``'s state graph and the witness that ``g`` is isomorphic to it, or
+    ``None``; more than |V(g)| states rules it out, so that caps the build."""
     try:
         ag = build(g, a, state_budget=len(g.vertices))
     except StateBudgetExceededError:
         return None
-    return built_isomorphism(g, ag)
+    iso = built_isomorphism(g, ag)
+    return (ag, iso) if iso is not None else None
 
 
 # The last answer of `built_isomorphism`: (graph, offsets row, targets row,
@@ -173,7 +175,7 @@ def _grandchild_in_degrees(
 
 
 def _candidates(
-    g: OrientedGraph, cap: int, shard: int, shards: int
+    g: OrientedGraph, cap: int, shard: int, shards: int, limit: float = float("inf")
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(index, count vector), in index order, of the `iter_assignments`
     entries of the shard that pass three tests an isomorphism onto the state
@@ -199,12 +201,16 @@ def _candidates(
     heavy vertex points to holds 0 or 1.  Each such pattern is decided once,
     and each one that passes yields its vectors: 0..min(cap, 1) on the other
     non-sinks and 0 on the sinks.  The patterns' vectors are merged by
-    index."""
+    index.  All those below ``limit`` come first: entry c at free position k
+    adds c (cap+1)^k to the index, so a position where (cap+1)^k reaches
+    ``limit`` is held at 0, and one where 2 (cap+1)^k does at 0 or 1."""
     root = g.graded_root()
     if root is None:
         return iter(())
     valences = g.valences()
     free = [i for i, d in enumerate(valences) if d]
+    free = free[: sum((cap + 1) ** k < limit for k in range(len(free)))]
+    can_move = [i for k, i in enumerate(free) if cap >= 2 and 2 * (cap + 1) ** k < limit]
     weights = [0] * len(valences)
     for k, i in enumerate(free):
         weights[i] = (cap + 1) ** k
@@ -214,16 +220,17 @@ def _candidates(
     wanted2 = None  # g's level-2 in-degrees, once some pattern passes level 1
     light, low, high = range(min(cap, 1) + 1), range(2, min(cap, 3) + 1), range(4, cap + 1)
     streams = []
-    for chosen in _heavy_sets([valences[i] for i in free], moves):
-        heavy = {free[k] for k in chosen}
-        targets = {w for u in heavy for w in out[u] if valences[w]}
+    nonzero = set(free)
+    for chosen in _heavy_sets([valences[i] for i in can_move], moves):
+        heavy = {can_move[k] for k in chosen}
+        targets = {w for u in heavy for w in out[u] if w in nonzero}
         # Per vertex, its sub-ranges, each with the moves that the children
         # of its own moves lose and those that the children of moves into
         # it gain.
         options = [
             [(rng, loss, 0) for rng, loss in ((low, d), (high, 0)) if rng] if i in heavy
             else [((c,), 0, c * d) for c in light] if i in targets
-            else [(light if d else (0,), 0, 0)]
+            else [(light if i in nonzero else (0,), 0, 0)]
             for i, d in enumerate(valences)
         ]
         for pattern in product(*options):
@@ -255,20 +262,14 @@ def _scan_hits(
     """The hits of the assignments whose index is ``shard`` mod ``shards``
     in each (graph position, graph): (graph position, index, full count
     vector, fully_traversable) for every assignment whose state graph is
-    isomorphic to its graph.  Only the `_candidates` are visited; they pass
-    `state_graph_isomorphism`'s exits before its build, so each is built
-    once, capped at |V(g)| states, and that build decides both the
-    isomorphism and full traversability."""
+    isomorphic to its graph.  Only the `_candidates`, which pass the pair
+    test's exits, are visited, each built once by `_built_witness`."""
     hits: list[Hit] = []
     for pos, g in graphs:
-        n = len(g.vertices)
         for idx, counts in _candidates(g, pebble_cap, shard, shards):
-            try:
-                ag = build(g, Assignment(g, counts), state_budget=n)
-            except StateBudgetExceededError:
-                continue
-            if built_isomorphism(g, ag) is not None:
-                hits.append((pos, idx, counts, ag.is_fully_traversable()))
+            found = _built_witness(g, Assignment(g, counts))
+            if found:
+                hits.append((pos, idx, counts, found[0].is_fully_traversable()))
     return hits
 
 
@@ -281,11 +282,10 @@ def scan_graph_assignments(
     graphs: list[OrientedGraph], pebble_cap: int, shards: int = 1
 ) -> tuple[list[Hit], int]:
     """One scan over the joint assignment space of ``graphs``: the hits in
-    (graph position, index) order and the number of assignments scanned,
-    which counts every box index, visited or not.  Only the graphs with a
-    graded root, which alone can hit, are scanned.  Several shards run as at
-    most one worker process per CPU, each scanning one residue class of
-    every graph's assignment indices."""
+    (graph position, index) order and the number of box indices covered.
+    Only the graphs with a graded root, which alone can hit, are scanned.
+    Several shards run as at most one worker process per CPU, each scanning
+    one residue class of every graph's assignment indices."""
     _check_cap(pebble_cap)
     graded = [(pos, g) for pos, g in enumerate(graphs) if g.graded_root() is not None]
     workers = min(shards, os.cpu_count() or 1) if shards > 1 else 1

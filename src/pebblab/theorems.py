@@ -21,6 +21,7 @@ from .assignment_graph import DEFAULT_STATE_BUDGET, AssignmentGraph, build, find
 from .classify import (
     ClassificationResult,
     _box_size,
+    _built_witness,
     _candidates,
     _check_cap,
     built_isomorphism,
@@ -737,11 +738,10 @@ def verify_thm_7_2(
     """Build the state graph of the oriented complete bipartite graph with
     two or three pebbles per source, then (a) find the bipartite pattern as
     an oriented subgraph of it and (b) search bounded assignments making it
-    isomorphic to its own state graph.  The subgraph search tries at most
-    ``search_budget`` candidates, and the assignment search covers at most
-    ``search_budget`` assignment indices, trying only the `_candidates`
-    among them: the construction is a state graph, so it is graded, and
-    every other assignment fails the pair test before its build.
+    isomorphic to its own state graph.  ``search_budget`` bounds the
+    subgraph search's candidates and the assignment indices covered, of
+    which only the `_candidates` are generated and built: the construction
+    is graded, and every other assignment fails the pair test's exits.
 
     The assignment search is best effort: exhausting the cap without a
     finding is reported as budget-exceeded, not as a refutation.
@@ -769,17 +769,17 @@ def verify_thm_7_2(
     if submap is None:
         notes = ("the bipartite pattern does not occur as an oriented subgraph",)
         return report(COUNTEREXAMPLE, stats=stats, notes=notes)
-    for idx, counts in _candidates(g, search_cap, 0, 1):
+    for idx, counts in _candidates(g, search_cap, 0, 1, limit=search_budget):
         if idx >= search_budget:
             break
         candidate = Assignment(g, counts)
-        iso = state_graph_isomorphism(g, candidate)
-        if iso is not None:
+        found = _built_witness(g, candidate)
+        if found:
             stats["assignments_scanned"] = idx + 1
             witness = {
                 "subgraph": submap.mapping,
                 "assignment": candidate.as_dict(),
-                "isomorphism": iso.to_json_obj()["map"],
+                "isomorphism": found[1].to_json_obj()["map"],
             }
             return report(HOLDS, witness=witness, stats=stats, instance_text=format_assignment(candidate))
     box = _box_size(g, search_cap)

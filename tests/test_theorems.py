@@ -526,6 +526,29 @@ def test_thm_7_2_matches_the_box_scan():
     assert verify_thm_7_2(2, 2, 2, 1, search_budget=32).notes[0].startswith("no isomorphic assignment")
 
 
+def test_thm_7_2_search_budget_bounds_the_candidates_generated(monkeypatch):
+    # K(10,1)'s construction has 1,024 states, 1,023 of them non-sinks, and
+    # the subgraph search fits in a budget of 20,000.  A heavy vertex at free
+    # position k puts the index at 2 (cap+1)^k or more, so below the budget
+    # only positions 0..5 at cap 4 and 0..8 at cap 2 can be heavy, and
+    # `_heavy_sets` makes at most one call per subset of them.
+    heavy_set = classify._heavy_sets
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 2**9, "heavy sets enumerated past the search budget"
+        return heavy_set(*args)
+
+    monkeypatch.setattr(classify, "_heavy_sets", counted)
+    for cap in (2, 4):
+        got = verify_thm_7_2(10, 1, 2, cap, search_budget=20000).to_json_obj()
+        assert got == reference_thm_7_2_scan(10, 1, 2, cap, 20000).to_json_obj(), cap
+        assert got["stats"]["assignments_scanned"] == 20000
+        calls = 0
+
+
 def test_count_vectors_match_the_base_conversion():
     for length in range(6):
         for cap in range(4):
