@@ -3,9 +3,8 @@
 Scans fix every valence-zero vertex at zero pebbles and report it as "any":
 pebbles on a valence-zero vertex never enable or change a move, so each
 finding stands for the whole infinite family over sink counts.  Each
-graph numbers its own assignments, and shard s of N takes the indices equal
-to s mod N in every graph, so any shard count yields the same instances, and
-results merge deterministically by (graph position, index).
+graph numbers its own assignments, and hits come in (graph position, index)
+order.
 
 A scan covers every capped assignment but visits only those that an
 isomorphism onto the state graph does not rule out at the root's first two
@@ -23,12 +22,9 @@ vector is built once, for both the isomorphism and full traversability.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from heapq import merge
-from itertools import count, islice, product, repeat
+from itertools import product, repeat
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
@@ -110,34 +106,20 @@ def _check_cap(cap: int) -> None:
 _lowest_first = itemgetter(slice(None, None, -1))
 
 
-def _vectors(
-    free: Sequence[int], cap: int, shard: int, shards: int
-) -> Iterator[tuple[int, ...]]:
-    """The vectors with entry i in [0, cap] where ``free[i]`` is truthy and
-    0 elsewhere, striding by ``shards`` starting at ``shard``, in the order
-    of their index: the free entries read as a base-(cap+1) number whose
-    first entry is the lowest digit."""
+def iter_count_vectors(length: int, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(index, vector) over all count vectors in [0, cap]^length.  The index
+    is the vector read as a base-(cap+1) number whose first entry is the
+    lowest digit."""
     _check_cap(cap)
-    ranges = [range(cap + 1) if f else (0,) for f in reversed(free)]
-    return map(_lowest_first, islice(product(*ranges), shard, None, shards))
+    return enumerate(map(_lowest_first, product(range(cap + 1), repeat=length)))
 
 
-def iter_count_vectors(
-    length: int, cap: int, shard: int = 0, shards: int = 1
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, vector) over all count vectors in [0, cap]^length, striding
-    by ``shards`` starting at ``shard``.  The index is the vector read as a
-    base-(cap+1) number whose first entry is the lowest digit."""
-    return zip(count(shard, shards), _vectors([1] * length, cap, shard, shards))
-
-
-def iter_assignments(
-    g: OrientedGraph, cap: int, shard: int = 0, shards: int = 1
-) -> Iterator[tuple[int, Assignment]]:
+def iter_assignments(g: OrientedGraph, cap: int) -> Iterator[tuple[int, Assignment]]:
     """(index, assignment) with the `iter_count_vectors` entries on the
     non-sink vertices, in vertex order, and zero on every sink."""
-    vectors = _vectors(g.valences(), cap, shard, shards)
-    return zip(count(shard, shards), map(Assignment, repeat(g), vectors))
+    _check_cap(cap)
+    ranges = [range(cap + 1) if d else (0,) for d in reversed(g.valences())]
+    return enumerate(map(Assignment, repeat(g), map(_lowest_first, product(*ranges))))
 
 
 def _heavy_sets(valences: Sequence[int], target: int, start: int = 0) -> Iterator[tuple[int, ...]]:
@@ -175,11 +157,11 @@ def _grandchild_in_degrees(
 
 
 def _candidates(
-    g: OrientedGraph, cap: int, shard: int, shards: int, limit: float = float("inf")
+    g: OrientedGraph, cap: int, limit: float = float("inf")
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(index, count vector), in index order, of the `iter_assignments`
-    entries of the shard that pass three tests an isomorphism onto the state
-    graph forces.  It maps ``g``'s graded root to the root state, which has
+    entries that pass three tests an isomorphism onto the state graph
+    forces.  It maps ``g``'s graded root to the root state, which has
     one child per legal move, and it keeps the distance from the root,
     out-degree and in-degree.
 
@@ -251,22 +233,20 @@ def _candidates(
             if wanted2 and _grandchild_in_degrees(out, keys, ranges, heavy, heavy | targets) != wanted2:
                 continue
             # The last vertex varies slowest, so each stream runs in index order.
-            numbered = ((sum(map(mul, c, weights)), c) for c in map(_lowest_first, product(*reversed(ranges))))
-            streams.append((idx, c) for idx, c in numbered if idx % shards == shard)
+            vectors = map(_lowest_first, product(*reversed(ranges)))
+            streams.append((sum(map(mul, c, weights)), c) for c in vectors)
     return merge(*streams)
 
 
-def _scan_hits(
-    graphs: list[tuple[int, OrientedGraph]], pebble_cap: int, shard: int = 0, shards: int = 1
-) -> list[Hit]:
-    """The hits of the assignments whose index is ``shard`` mod ``shards``
-    in each (graph position, graph): (graph position, index, full count
-    vector, fully_traversable) for every assignment whose state graph is
-    isomorphic to its graph.  Only the `_candidates`, which pass the pair
-    test's exits, are visited, each built once by `_built_witness`."""
+def _scan_hits(graphs: list[tuple[int, OrientedGraph]], pebble_cap: int) -> list[Hit]:
+    """The hits of the assignments of each (graph position, graph): (graph
+    position, index, full count vector, fully_traversable) for every
+    assignment whose state graph is isomorphic to its graph.  Only the
+    `_candidates`, which pass the pair test's exits, are visited, each
+    built once by `_built_witness`."""
     hits: list[Hit] = []
     for pos, g in graphs:
-        for idx, counts in _candidates(g, pebble_cap, shard, shards):
+        for idx, counts in _candidates(g, pebble_cap):
             found = _built_witness(g, Assignment(g, counts))
             if found:
                 hits.append((pos, idx, counts, found[0].is_fully_traversable()))
@@ -278,24 +258,13 @@ def _box_size(g: OrientedGraph, pebble_cap: int) -> int:
     return (pebble_cap + 1) ** sum(map(bool, g.valences()))
 
 
-def scan_graph_assignments(
-    graphs: list[OrientedGraph], pebble_cap: int, shards: int = 1
-) -> tuple[list[Hit], int]:
+def scan_graph_assignments(graphs: list[OrientedGraph], pebble_cap: int) -> tuple[list[Hit], int]:
     """One scan over the joint assignment space of ``graphs``: the hits in
     (graph position, index) order and the number of box indices covered.
-    Only the graphs with a graded root, which alone can hit, are scanned.
-    Several shards run as at most one worker process per CPU, each scanning
-    one residue class of every graph's assignment indices."""
+    Only the graphs with a graded root, which alone can hit, are scanned."""
     _check_cap(pebble_cap)
     graded = [(pos, g) for pos, g in enumerate(graphs) if g.graded_root() is not None]
-    workers = min(shards, os.cpu_count() or 1) if shards > 1 else 1
-    if workers == 1:
-        hits = _scan_hits(graded, pebble_cap)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial(_scan_hits, graded, pebble_cap, shards=workers), range(workers)))
-        hits = sorted((h for part in parts for h in part), key=lambda h: h[:2])
-    return hits, sum(_box_size(g, pebble_cap) for g in graphs)
+    return _scan_hits(graded, pebble_cap), sum(_box_size(g, pebble_cap) for g in graphs)
 
 
 def reduce_modulo_automorphisms(
@@ -390,11 +359,11 @@ class ClassificationResult:
 
 def _classify(
     graphs: list[OrientedGraph], pebble_cap: int, vertex_cap: int | None,
-    ft_filter: bool | None, shards: int,
+    ft_filter: bool | None,
 ) -> ClassificationResult:
     """Scan ``graphs`` and keep each graph's hits whose full traversability
     is ``ft_filter`` (any if ``None``), modulo its automorphisms."""
-    hits, scanned = scan_graph_assignments(graphs, pebble_cap, shards)
+    hits, scanned = scan_graph_assignments(graphs, pebble_cap)
     ft_by_vec: list[dict[tuple[int, ...], bool]] = [{} for _ in graphs]
     for pos, _, vec, ft in hits:
         if ft_filter is None or ft == ft_filter:
@@ -407,17 +376,17 @@ def _classify(
     return ClassificationResult(pebble_cap, vertex_cap, pairs, scanned)
 
 
-def classify_downward_4_cycle(pebble_cap: int, shards: int = 1) -> ClassificationResult:
+def classify_downward_4_cycle(pebble_cap: int) -> ClassificationResult:
     """Every assignment on the downward 4-cycle (non-sink counts up to
     ``pebble_cap``, sink symbolic) whose state graph is isomorphic to the
     cycle, reduced modulo the cycle's order-2 symmetry."""
     if pebble_cap < 4:
         raise AssignmentError(f"pebble cap must be at least 4 to be convincing, got {pebble_cap}")
-    return _classify([downward_cycle(4)], pebble_cap, None, None, shards)
+    return _classify([downward_cycle(4)], pebble_cap, None, None)
 
 
 def search_isomorphic_pairs(
-    vertex_cap: int, pebble_cap: int, ft_filter: bool | None = None, shards: int = 1
+    vertex_cap: int, pebble_cap: int, ft_filter: bool | None = None
 ) -> ClassificationResult:
     """Scan every oriented graph up to ``vertex_cap`` vertices (one per
     isomorphism class) against every assignment with non-sink counts up to
@@ -426,6 +395,6 @@ def search_isomorphic_pairs(
     if vertex_cap == 0:  # a negative cap is the enumeration's error
         raise GraphError("vertex cap must be at least 1, got 0")
     graphs = enumerate_oriented_graphs(vertex_cap)
-    result = _classify(graphs, pebble_cap, vertex_cap, ft_filter, shards)
+    result = _classify(graphs, pebble_cap, vertex_cap, ft_filter)
     result.stats["graph_classes"] = len(graphs)
     return result

@@ -59,7 +59,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def positive_int(text: str) -> int:
-    """An integer of at least 1, for the budget and shard flags."""
+    """An integer of at least 1, for the budget flags."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -157,7 +157,6 @@ _VERIFY_FLAGS = {
     "--seed": ("seed", int, {"type": int}),
     "--budget": ("state_budget", int, {"type": positive_int, "help": "state budget"}),
     "--search-budget": ("search_budget", int, {"type": positive_int}),
-    "--shards": ("shards", int, {"type": positive_int}),
     "--format": (None, None, {"choices": ("json", "table"), "default": "table"}),
     "--output": (None, None, {"help": "write the report here instead of stdout"}),
     "--emit-graph": ("emit_graph", str, {"help": "write a constructed host graph here (thm-8.1)"}),
@@ -221,9 +220,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     ft_filter = {"yes": True, "no": False, "any": None}[args.fully_traversable]
     started = time.monotonic()
-    result = search_isomorphic_pairs(
-        args.max_vertices, args.pebble_cap, ft_filter=ft_filter, shards=args.shards
-    )
+    result = search_isomorphic_pairs(args.max_vertices, args.pebble_cap, ft_filter=ft_filter)
     elapsed = time.monotonic() - started
     if args.format == "json":
         text = _json_text(result.to_json_obj())
@@ -274,7 +271,6 @@ def _parser() -> argparse.ArgumentParser:
         choices=("yes", "no", "any"),
         default="any",
     )
-    p_search.add_argument("--shards", type=positive_int, default=1)
     p_search.add_argument("--format", choices=("json", "table"), default="table")
     p_search.add_argument("--output", help="write the result here instead of stdout")
     p_search.set_defaults(fn=cmd_search)

@@ -326,12 +326,10 @@ def verify_thm_2_2(
     return _never_isomorphic("thm-2.2", g, a, state_budget, "has_downward_4_cycle", met)
 
 
-def verify_cor_2_1(
-    pebble_cap: int = 6, shards: int = 1
-) -> tuple[VerificationReport, ClassificationResult]:
+def verify_cor_2_1(pebble_cap: int = 6) -> tuple[VerificationReport, ClassificationResult]:
     """Rediscover the six assignment families on the downward 4-cycle whose
     state graph is isomorphic to the cycle."""
-    result = classify_downward_4_cycle(pebble_cap, shards=shards)
+    result = classify_downward_4_cycle(pebble_cap)
     families = sorted(pair.counts[:3] for pair in result.pairs)
     expected = sorted(DOWNWARD_4_CYCLE_FAMILIES)
     verdict = HOLDS if families == expected else COUNTEREXAMPLE
@@ -349,15 +347,13 @@ def verify_cor_2_1(
 # -- sections 3 and 4: larger cycles -----------------------------------------
 
 
-def verify_thm_3_1(
-    k: int, pebble_cap: int, shards: int = 1
-) -> VerificationReport:
+def verify_thm_3_1(k: int, pebble_cap: int) -> VerificationReport:
     """No assignment on a downward k-cycle, k > 4, is isomorphic to its
     state graph (non-sink counts scanned up to the cap, sink normalized)."""
     if k <= 4 or k % 2:
         raise GraphError(f"k must be even and greater than 4, got {k}")
     g = downward_cycle(k)
-    hits, scanned = scan_graph_assignments([g], pebble_cap, shards=shards)
+    hits, scanned = scan_graph_assignments([g], pebble_cap)
     stats = {"k": k, "pebble_cap": pebble_cap, "scanned": scanned, "isomorphic_found": len(hits)}
     report = VerificationReport(
         "thm-3.1",
@@ -481,13 +477,11 @@ def verify_thm_5_1_batch(
 # -- section 6: full classification -------------------------------------------
 
 
-def verify_sec_6(
-    vertex_cap: int, pebble_cap: int, shards: int = 1
-) -> tuple[VerificationReport, ClassificationResult]:
+def verify_sec_6(vertex_cap: int, pebble_cap: int) -> tuple[VerificationReport, ClassificationResult]:
     """The fully traversable pairs isomorphic to their state graph are
     exactly the downward trees carrying the root-2-or-3 assignment, counting
     only the assignments within the pebble cap: the scan reaches no other."""
-    result = search_isomorphic_pairs(vertex_cap, pebble_cap, ft_filter=True, shards=shards)
+    result = search_isomorphic_pairs(vertex_cap, pebble_cap, ft_filter=True)
     found = {canonical_pair_key(p.graph, p.counts) for p in result.pairs}
     expected = set()
     for tree in enumerate_downward_trees(vertex_cap):
@@ -769,7 +763,7 @@ def verify_thm_7_2(
     if submap is None:
         notes = ("the bipartite pattern does not occur as an oriented subgraph",)
         return report(COUNTEREXAMPLE, stats=stats, notes=notes)
-    for idx, counts in _candidates(g, search_cap, 0, 1, limit=search_budget):
+    for idx, counts in _candidates(g, search_cap, limit=search_budget):
         if idx >= search_budget:
             break
         candidate = Assignment(g, counts)
@@ -925,16 +919,16 @@ def _thm_8_1_on_instance(input: str, state_budget: int, search_budget: int):
 _KEY_TYPES = {
     "input": str, "sweep": bool, "lengths": list, "sinks": list, "factors": list, "fill": (int, dict)
 }
-_BUDGET_KEYS = ("state_budget", "search_budget", "shards")
+_BUDGET_KEYS = ("state_budget", "search_budget")
 
 
 class ClaimForm:
     """One way to run a claim: ``run`` takes the parameters as keywords and
     returns a report or ``(report, extra)``.  Its signature is the schema:
-    ``keys`` maps each parameter it names (budgets and shards included) to
-    the type its value must have, and ``required`` lists those without a
-    default that `run_claim` does not supply.  ``host`` marks the form
-    whose extra is a host graph and its assignment."""
+    ``keys`` maps each parameter it names (budgets included) to the type
+    its value must have, and ``required`` lists those without a default
+    that `run_claim` does not supply.  ``host`` marks the form whose extra
+    is a host graph and its assignment."""
 
     def __init__(self, run: Callable, types: dict | None = None, host: bool = False):
         names = inspect.signature(run).parameters.values()
@@ -963,8 +957,8 @@ CLAIMS: dict[str, tuple[ClaimForm, ...]] = {
     "cor-1.2": _on_instance(lambda *args: verify_cor_1_2(*args)),
     "thm-2.1": _on_instance(lambda *args: check_thm_2_1(*args)),
     "thm-2.2": _on_instance(lambda *args: verify_thm_2_2(*args)),
-    "cor-2.1": (ClaimForm(lambda shards, cap=6: verify_cor_2_1(cap, shards=shards)),),
-    "thm-3.1": (ClaimForm(lambda k, shards, cap=4: verify_thm_3_1(k, cap, shards=shards)),),
+    "cor-2.1": (ClaimForm(lambda cap=6: verify_cor_2_1(cap)),),
+    "thm-3.1": (ClaimForm(lambda k, cap=4: verify_thm_3_1(k, cap)),),
     "thm-4.1": _on_instance(lambda *args: verify_thm_4_1(*args)),
     "thm-5.1": (
         ClaimForm(
@@ -974,13 +968,7 @@ CLAIMS: dict[str, tuple[ClaimForm, ...]] = {
         ),
         ClaimForm(_thm_5_1_on_instance),
     ),
-    "sec-6": (
-        ClaimForm(
-            lambda shards, vertex_cap=4, pebble_cap=4: verify_sec_6(
-                vertex_cap, pebble_cap, shards=shards
-            )
-        ),
-    ),
+    "sec-6": (ClaimForm(lambda vertex_cap=4, pebble_cap=4: verify_sec_6(vertex_cap, pebble_cap)),),
     "thm-7.1": (
         ClaimForm(
             lambda sweep, max_factors=3, max_length=4: verify_thm_7_1_sweep(max_factors, max_length)
@@ -1033,18 +1021,17 @@ def run_claim(
     params: dict,
     state_budget: int = DEFAULT_STATE_BUDGET,
     search_budget: int = DEFAULT_EXPANSION_BUDGET,
-    shards: int = 1,
 ) -> tuple[VerificationReport, object | None]:
     """Run one claim checker from JSON-able parameters.
 
     Returns the report plus an optional extra artifact (a classification
-    result, or the constructed host graph and assignment).  The budgets and
-    shard count go to the claims that read them, unless ``params`` sets them.
+    result, or the constructed host graph and assignment).  The budgets go
+    to the claims that read them, unless ``params`` sets them.
     Raises UnknownClaimError for an unknown claim or a parameter that its
     form needs and lacks, does not read, or reads as another type.
     """
     form = claim_form(claim, params)
-    budgets = zip(_BUDGET_KEYS, (state_budget, search_budget, shards))
+    budgets = zip(_BUDGET_KEYS, (state_budget, search_budget))
     kwargs = {key: value for key, value in budgets if key in form.keys}
     kwargs.update(params)
     for key, value in kwargs.items():

@@ -46,8 +46,8 @@ count vectors, as equal assignments.
 counted the initial legal moves by listing them;
 ``classify.state_graph_isomorphism`` must return the same witness.
 
-``reference_scan`` is the earlier box scan: every capped assignment of
-the shard, in index order, through ``classify.state_graph_isomorphism``,
+``reference_scan`` is the earlier box scan: every capped assignment, in
+index order, through ``classify.state_graph_isomorphism``,
 with a second build of each hit's state graph for its full traversability.
 ``classify._scan_hits``, which visits only the heavy-set vectors of graded
 classes and builds each once, must return the same hits, and
@@ -466,10 +466,10 @@ def reference_graded_root(g: OrientedGraph) -> str | None:
     return g.vertices[sources[0]]
 
 
-def reference_count_vectors(length: int, cap: int, shard: int = 0, shards: int = 1):
+def reference_count_vectors(length: int, cap: int):
     base = cap + 1
     total = base**length
-    for idx in range(shard, total, shards):
+    for idx in range(total):
         x = idx
         vec = []
         for _ in range(length):
@@ -482,10 +482,10 @@ def reference_built_isomorphism(g: OrientedGraph, ag):
     return digraph_isomorphic(g, ag.as_oriented_graph())
 
 
-def reference_iter_assignments(g: OrientedGraph, cap: int, shard: int = 0, shards: int = 1):
+def reference_iter_assignments(g: OrientedGraph, cap: int):
     non_sink = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
     counts = [0] * len(g.vertices)
-    for idx, vec in iter_count_vectors(len(non_sink), cap, shard, shards):
+    for idx, vec in iter_count_vectors(len(non_sink), cap):
         for pos, c in zip(non_sink, vec):
             counts[pos] = c
         yield idx, Assignment(g, counts)
@@ -502,10 +502,10 @@ def reference_state_graph_isomorphism(g: OrientedGraph, a: Assignment):
     return built_isomorphism(g, ag)
 
 
-def reference_scan(graphs: list[OrientedGraph], cap: int, shard: int = 0, shards: int = 1):
+def reference_scan(graphs: list[OrientedGraph], cap: int):
     hits, scanned = [], 0
     for pos, g in enumerate(graphs):
-        for idx, a in reference_iter_assignments(g, cap, shard, shards):
+        for idx, a in reference_iter_assignments(g, cap):
             scanned += 1
             if state_graph_isomorphism(g, a) is not None:
                 ft = build(g, a, state_budget=len(g.vertices)).is_fully_traversable()
@@ -513,7 +513,7 @@ def reference_scan(graphs: list[OrientedGraph], cap: int, shard: int = 0, shards
     return hits, scanned
 
 
-def reference_scan_movers(graphs: list[OrientedGraph], cap: int, shard: int = 0, shards: int = 1):
+def reference_scan_movers(graphs: list[OrientedGraph], cap: int):
     movers = []
     for pos, g in enumerate(graphs):
         root = reference_graded_root(g)
@@ -525,7 +525,7 @@ def reference_scan_movers(graphs: list[OrientedGraph], cap: int, shard: int = 0,
         dist = _source_distances(n, out_adj, in_adj)
         wanted = sorted(g.valence(w) for w in g.out_neighbors(root))
         wanted_in = sorted(len(in_adj[v]) for v in range(n) if dist[v] == 2)
-        for _, a in reference_iter_assignments(g, cap, shard, shards):
+        for _, a in reference_iter_assignments(g, cap):
             moves = a.legal_moves()
             if len(moves) != g.valence(root):
                 continue

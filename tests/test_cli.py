@@ -370,12 +370,12 @@ def _exit_code(argv: list[str]) -> int:
         (["verify", "thm-7.1", "--lengths", "2,x", "--path-pebbles", "2,3"], "'2,x'"),
         (
             ["verify", "thm-3.1", "--k", "6", "--pebble-cap", "5"],
-            "does not read --pebble-cap; it accepts --cap, --k, --shards, --format and --output",
+            "does not read --pebble-cap; it accepts --cap, --k, --format and --output",
         ),
         (["verify", "sec-6", "--cap", "2"], "does not read --cap"),
         (["verify", "sec-6", "--budget", "5"], "does not read --budget"),
         (["verify", "cor-2.1", "--search-budget", "5"], "does not read --search-budget"),
-        (["verify", "thm-7.1", "--sweep", "--shards", "2"], "does not read --shards"),
+        (["verify", "thm-7.1", "--sweep", "--seed", "2"], "does not read --seed"),
         (["verify", "thm-3.1", "--k", "6", "--emit-graph", "x"], "does not read --emit-graph"),
         (["verify", "thm-7.1", "--lengths", "2", "--pebbles", "2"], "does not read --pebbles"),
         (["verify", "thm-7.2", "--n", "2", "--m", "1", "--sweep"], "does not read --sweep"),
@@ -387,8 +387,8 @@ def _exit_code(argv: list[str]) -> int:
         (["build", "cycle.txt", "--budget", "0"], "argument --budget: must be at least 1, got 0"),
         (["verify", "thm-2.1", "--input", "cycle.txt", "--budget", "0"], "argument --budget"),
         (["verify", "thm-7.2", "--n", "2", "--m", "1", "--search-budget", "0"], "argument --search-budget"),
-        (["verify", "thm-3.1", "--k", "6", "--shards", "0"], "argument --shards"),
-        (["search", "--max-vertices", "2", "--pebble-cap", "2", "--shards", "-1"], "argument --shards"),
+        (["verify", "thm-3.1", "--k", "6", "--shards", "2"], "unrecognized arguments: --shards 2"),
+        (["search", "--max-vertices", "2", "--pebble-cap", "2", "--shards", "2"], "unrecognized arguments: --shards 2"),
         (["verify", "thm-5.1", "--random-trees", "0"], "tree count must be at least 1, got 0"),
         (["verify", "thm-5.1", "--random-trees", "-1"], "tree count must be at least 1, got -1"),
         (["verify", "thm-5.1", "--random-trees", "3", "--max-vertices", "1"], "max vertices must be at least 2, got 1"),

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -552,10 +555,7 @@ def test_thm_7_2_search_budget_bounds_the_candidates_generated(monkeypatch):
 def test_count_vectors_match_the_base_conversion():
     for length in range(6):
         for cap in range(4):
-            for shards in range(1, 4):
-                for shard in range(shards):
-                    got = list(iter_count_vectors(length, cap, shard, shards))
-                    assert got == list(reference_count_vectors(length, cap, shard, shards))
+            assert list(iter_count_vectors(length, cap)) == list(reference_count_vectors(length, cap))
     with pytest.raises(AssignmentError):
         iter_count_vectors(2, -1)
 
@@ -563,14 +563,12 @@ def test_count_vectors_match_the_base_conversion():
 def test_iter_assignments_match_the_scatter_over_count_vectors():
     for g in enumerate_oriented_graphs(4):
         for cap in range(4):
-            for shards in range(1, 4):
-                for shard in range(shards):
-                    got = list(iter_assignments(g, cap, shard, shards))
-                    want = [(idx, a.counts) for idx, a in reference_iter_assignments(g, cap, shard, shards)]
-                    assert [(idx, a.counts) for idx, a in got] == want, (g, cap, shard, shards)
-                    for _, a in got:
-                        checked = Assignment(g, a.counts)
-                        assert a == checked and hash(a) == hash(checked)
+            got = list(iter_assignments(g, cap))
+            want = [(idx, a.counts) for idx, a in reference_iter_assignments(g, cap)]
+            assert [(idx, a.counts) for idx, a in got] == want, (g, cap)
+            for _, a in got:
+                checked = Assignment(g, a.counts)
+                assert a == checked and hash(a) == hash(checked)
     with pytest.raises(AssignmentError):
         iter_assignments(downward_cycle(4), -1)
 
@@ -582,11 +580,10 @@ def test_a_negative_pebble_cap_fails_before_any_graph(monkeypatch):
         raise AssertionError("graphs enumerated before the pebble cap was checked")
 
     monkeypatch.setattr(classify, "enumerate_oriented_graphs", refuse)
-    for shards in (1, 2):
-        with pytest.raises(AssignmentError, match="pebble cap must be non-negative, got -1"):
-            search_isomorphic_pairs(6, -1, shards=shards)
-        with pytest.raises(AssignmentError, match="pebble cap must be non-negative, got -1"):
-            classify.scan_graph_assignments([], -1, shards=shards)
+    with pytest.raises(AssignmentError, match="pebble cap must be non-negative, got -1"):
+        search_isomorphic_pairs(6, -1)
+    with pytest.raises(AssignmentError, match="pebble cap must be non-negative, got -1"):
+        classify.scan_graph_assignments([], -1)
 
 
 def test_state_graph_isomorphism_matches_the_listed_moves():
@@ -616,35 +613,26 @@ def _scan_cases():
 
 def test_pruned_scan_matches_the_box_scan(monkeypatch):
     # Every class up to 4 vertices at caps 0-6, every 5-vertex class at cap
-    # 3, and the downward 6- and 8-cycles at caps up to 5 and 3, each shard
-    # of 1, 2 and 3 shards.  The scan builds exactly the box vectors that
-    # pass the root-degree, level-1 out-degree and level-2 in-degree tests,
-    # each once, so a dropped, an extra or a repeated build fails even when
-    # it is not a hit.
+    # 3, and the downward 6- and 8-cycles at caps up to 5 and 3.  The scan
+    # builds exactly the box vectors that pass the root-degree, level-1
+    # out-degree and level-2 in-degree tests, each once, so a dropped, an
+    # extra or a repeated build fails even when it is not a hit.
     real = classify.build
     for graphs, cap in _scan_cases():
         position = {id(g): pos for pos, g in enumerate(graphs)}
-        merged = []
-        for shards in range(1, 4):
-            hits, scanned = [], 0
-            for shard in range(shards):
-                built = []
+        built = []
 
-                def recording(g, a, **kwargs):
-                    built.append((position[id(g)], a.counts))
-                    return real(g, a, **kwargs)
+        def recording(g, a, **kwargs):
+            built.append((position[id(g)], a.counts))
+            return real(g, a, **kwargs)
 
-                monkeypatch.setattr(classify, "build", recording)
-                got = classify._scan_hits(list(enumerate(graphs)), cap, shard, shards)
-                monkeypatch.setattr(classify, "build", real)
-                want, covered = reference_scan(graphs, cap, shard, shards)
-                assert got == want, (cap, shard, shards)
-                assert built == reference_scan_movers(graphs, cap, shard, shards), (cap, shard, shards)
-                hits += got
-                scanned += covered
-            merged.append((sorted(hits, key=lambda h: h[:2]), scanned))
-        assert merged[0] == merged[1] == merged[2], cap
-        assert classify.scan_graph_assignments(graphs, cap) == merged[0], cap
+        monkeypatch.setattr(classify, "build", recording)
+        got = classify._scan_hits(list(enumerate(graphs)), cap)
+        monkeypatch.setattr(classify, "build", real)
+        want = reference_scan(graphs, cap)
+        assert got == want[0], cap
+        assert built == reference_scan_movers(graphs, cap), cap
+        assert classify.scan_graph_assignments(graphs, cap) == want, cap
 
 
 def test_five_vertex_search_at_cap_3_is_frozen():
@@ -867,74 +855,15 @@ def test_no_fully_traversable_pair_contains_a_downward_4_cycle():
         assert find_downward_4_cycle(pair.graph) is None
 
 
-def test_shards_give_identical_results():
-    runs = (
-        lambda shards: search_isomorphic_pairs(3, 3, shards=shards),
-        lambda shards: search_isomorphic_pairs(3, 3, ft_filter=True, shards=shards),
-        lambda shards: search_isomorphic_pairs(3, 3, ft_filter=False, shards=shards),
-        lambda shards: search_isomorphic_pairs(4, 2, shards=shards),
-        lambda shards: classify_downward_4_cycle(4, shards=shards),
+def test_importing_pebblab_loads_no_process_pool():
+    # A fresh interpreter, so that no other test's imports count.
+    code = (
+        "import pebblab, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
-    for run in runs:
-        single = run(1).to_json_obj()
-        assert single["pairs"]
-        for shards in (2, 3):
-            assert run(shards).to_json_obj() == single
-    single = verify_thm_3_1(6, 3).to_json_obj()
-    for shards in (2, 3):
-        assert verify_thm_3_1(6, 3, shards=shards).to_json_obj() == single
-
-
-def test_a_sharded_scan_opens_at_most_one_worker_per_cpu(monkeypatch):
-    import os
-
-    import pebblab.classify as classify
-
-    opened, tasks = [], []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            tasks.extend(items)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", InlinePool)
-    single = search_isomorphic_pairs(3, 3, ft_filter=True, shards=1).to_json_obj()
-    for cpus in (os.cpu_count(), 1, 3):
-        monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
-        opened.clear()
-        tasks.clear()
-        assert search_isomorphic_pairs(3, 3, ft_filter=True, shards=64).to_json_obj() == single
-        workers = min(64, cpus or 1)
-        # one task per worker, and one worker scans inline with no pool
-        assert opened == ([workers] if workers > 1 else [])
-        assert tasks == (list(range(workers)) if workers > 1 else [])
-
-
-def test_a_sharded_scan_opens_one_process_pool(monkeypatch):
-    import pebblab.classify as classify
-
-    opened = []
-
-    class CountingPool(classify.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
-    single = search_isomorphic_pairs(3, 3, shards=1)
-    assert opened == []
-    assert search_isomorphic_pairs(3, 3, shards=2).to_json_obj() == single.to_json_obj()
-    assert len(opened) == 1  # one pool for all 10 graph classes, not one per class
+    env = {**os.environ, "PYTHONPATH": str(Path(classify.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "[]\n"
 
 
 # -- one test of a graph against its built state graph ------------------------
