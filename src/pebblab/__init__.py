@@ -5,7 +5,6 @@ from .assignment_graph import (
     AssignmentGraph,
     build,
     find_downward_4_cycle,
-    is_fully_traversable,
 )
 from .classify import (
     ClassificationResult,
@@ -43,7 +42,6 @@ from .graphs import (
     OrientedGraph,
     cartesian_product,
     downward_cycle,
-    new_graph,
     oriented_complete_bipartite,
     oriented_path,
 )

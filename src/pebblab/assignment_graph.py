@@ -286,9 +286,6 @@ class AssignmentGraph:
         """Pebble vector in vertex order, e.g. ``"2,1,0"``."""
         return ",".join(map(str, self._layout.unpack(self._packed[state_id])))
 
-    def labeled_edges(self) -> tuple[tuple[int, int, tuple[str, str]], ...]:
-        return tuple((f, t, self.graph.edges[e]) for f, t, e in self.edges)
-
     def traversal_counts(self) -> dict[tuple[str, str], int]:
         """How many state transitions each edge of the base graph labels."""
         counts = [0] * len(self.graph.edges)
@@ -316,7 +313,8 @@ class AssignmentGraph:
         lines = ["digraph assignment_graph {"]
         for i in range(len(self.states)):
             lines.append(f'  s{i} [label="{self.state_label(i)}"];')
-        rows = sorted((f, t, f"{u}->{w}") for f, t, (u, w) in self.labeled_edges())
+        edges = self.graph.edges
+        rows = sorted((f, t, "->".join(edges[e])) for f, t, e in self.edges)
         for f, t, label in rows:
             lines.append(f'  s{f} -> s{t} [label="{label}"];')
         lines.append("}")
@@ -387,14 +385,6 @@ def build(
         levels.append(end)
         begin = end
     return AssignmentGraph(layout, packed, levels, offsets, targets, labels)
-
-
-def is_fully_traversable(
-    graph: OrientedGraph,
-    start: Assignment,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> bool:
-    return build(graph, start, state_budget).is_fully_traversable()
 
 
 def find_downward_4_cycle(g: OrientedGraph) -> tuple[str, str, str, str] | None:

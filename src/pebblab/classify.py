@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import merge
-from itertools import product, repeat
+from itertools import product
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
@@ -114,14 +114,6 @@ def iter_count_vectors(length: int, cap: int) -> Iterator[tuple[int, tuple[int, 
     return enumerate(map(_lowest_first, product(range(cap + 1), repeat=length)))
 
 
-def iter_assignments(g: OrientedGraph, cap: int) -> Iterator[tuple[int, Assignment]]:
-    """(index, assignment) with the `iter_count_vectors` entries on the
-    non-sink vertices, in vertex order, and zero on every sink."""
-    _check_cap(cap)
-    ranges = [range(cap + 1) if d else (0,) for d in reversed(g.valences())]
-    return enumerate(map(Assignment, repeat(g), map(_lowest_first, product(*ranges))))
-
-
 def _heavy_sets(valences: Sequence[int], target: int, start: int = 0) -> Iterator[tuple[int, ...]]:
     """The increasing position tuples drawn from ``valences[start:]`` whose
     valences sum to ``target``.  Valences are positive, so a branch stops
@@ -159,9 +151,11 @@ def _grandchild_in_degrees(
 def _candidates(
     g: OrientedGraph, cap: int, limit: float = float("inf")
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, count vector), in index order, of the `iter_assignments`
-    entries that pass three tests an isomorphism onto the state graph
-    forces.  It maps ``g``'s graded root to the root state, which has
+    """(index, count vector), in index order, of the capped assignments
+    that pass three tests an isomorphism onto the state graph forces.  An
+    assignment holds the `iter_count_vectors` entries on the non-sink
+    vertices, in vertex order, and 0 on every sink, and has that entry's
+    index.  It maps ``g``'s graded root to the root state, which has
     one child per legal move, and it keeps the distance from the root,
     out-degree and in-degree.
 

@@ -185,23 +185,12 @@ class OrientedGraph:
 
     def is_downward_tree(self) -> str | None:
         """Return the root name if the graph is a downward directed rooted
-        tree (every edge points away from a unique root), else ``None``."""
-        n = len(self.vertices)
-        if n == 0 or len(self.edges) != n - 1:
-            return None
-        roots = [v for v in self.vertices if not self._in[v]]
-        if len(roots) != 1 or any(len(self._in[v]) > 1 for v in self.vertices):
-            return None
-        root = roots[0]
-        reached = {root}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for w in self._out[v]:
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
-        return root if len(reached) == n else None
+        tree (every edge points away from a unique root), else ``None``.
+
+        That is a `graded_root` with n - 1 edges: every vertex is reached
+        from the root, so the n - 1 breadth-first tree edges are all the
+        edges."""
+        return self.graded_root() if len(self.edges) == len(self.vertices) - 1 else None
 
     def relabel(self, mapping: Mapping[str, str]) -> "OrientedGraph":
         """New graph with every vertex renamed through ``mapping``."""
@@ -212,11 +201,6 @@ class OrientedGraph:
             (mapping[v] for v in self.vertices),
             ((mapping[u], mapping[w]) for u, w in self.edges),
         )
-
-
-def new_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> OrientedGraph:
-    """Validated constructor; vertex order is the input order."""
-    return OrientedGraph(vertices, edges)
 
 
 # -- named families --------------------------------------------------------
@@ -267,7 +251,7 @@ def cartesian_product(factors: Sequence[OrientedGraph]) -> OrientedGraph:
             raise GraphError("cartesian product factor has no vertices")
 
     coords = list(_iter_product(*(g.vertices for g in factors)))
-    names = {c: ",".join(c) for c in coords}
+    names = {c: product_vertex_name(c) for c in coords}
     edges = []
     for c in coords:
         for i, g in enumerate(factors):

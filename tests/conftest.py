@@ -11,7 +11,6 @@ from pebblab import (
     Assignment,
     OrientedGraph,
     downward_cycle,
-    new_graph,
     oriented_complete_bipartite,
     oriented_path,
     product_assignment,
@@ -22,11 +21,11 @@ from pebblab import (
 
 def star_tree(leaves: int) -> OrientedGraph:
     names = ["root"] + [f"leaf{i}" for i in range(1, leaves + 1)]
-    return new_graph(names, (("root", leaf) for leaf in names[1:]))
+    return OrientedGraph(names, (("root", leaf) for leaf in names[1:]))
 
 
 def five_vertex_tree() -> OrientedGraph:
-    return new_graph(
+    return OrientedGraph(
         ["r", "x", "y", "z", "w"],
         [("r", "x"), ("x", "y"), ("r", "z"), ("z", "w")],
     )

@@ -33,14 +33,19 @@ seeded its colors with: each vertex's shortest distance from a source.
 one source, every vertex at a finite level, and every edge one level down.
 ``OrientedGraph.graded_root`` must return the same vertex or ``None``.
 
+``reference_is_downward_tree`` is the earlier tree test: n - 1 edges, one
+source, no in-degree above 1, and a depth-first search from the source that
+reaches every vertex.  ``OrientedGraph.is_downward_tree``, which reads
+``graded_root`` on a graph with n - 1 edges, must return the same root or
+``None``.
+
 ``reference_count_vectors`` is the earlier base conversion behind
 ``classify.iter_count_vectors``, which must yield exactly its sequence.
 
 ``reference_iter_assignments`` is the earlier per-graph scan order: each
 ``classify.iter_count_vectors`` vector scattered onto the non-sink vertices
 of one reused list and passed through the checking ``Assignment``
-constructor.  ``classify.iter_assignments`` must yield the same numbered
-count vectors, as equal assignments.
+constructor.  ``reference_scan`` numbers its assignments by it.
 
 ``reference_state_graph_isomorphism`` is the earlier pair test, which
 counted the initial legal moves by listing them;
@@ -464,6 +469,25 @@ def reference_graded_root(g: OrientedGraph) -> str | None:
     if any(dist[w] != dist[v] + 1 for v in range(n) for w in out_adj[v]):
         return None
     return g.vertices[sources[0]]
+
+
+def reference_is_downward_tree(g: OrientedGraph) -> str | None:
+    n = len(g.vertices)
+    if n == 0 or len(g.edges) != n - 1:
+        return None
+    roots = [v for v in g.vertices if not g.in_neighbors(v)]
+    if len(roots) != 1 or any(len(g.in_neighbors(v)) > 1 for v in g.vertices):
+        return None
+    root = roots[0]
+    reached = {root}
+    frontier = [root]
+    while frontier:
+        v = frontier.pop()
+        for w in g.out_neighbors(v):
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return root if len(reached) == n else None
 
 
 def reference_count_vectors(length: int, cap: int):

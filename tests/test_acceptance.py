@@ -13,12 +13,12 @@ from contextlib import contextmanager
 
 from pebblab import (
     Assignment,
+    OrientedGraph,
     build,
     check_thm_2_1,
     classify_downward_4_cycle,
     digraph_isomorphic,
     downward_cycle,
-    new_graph,
     random_assignment,
     random_oriented_graph,
     verify_lemma_7_1_sweep,
@@ -57,7 +57,7 @@ def test_criterion_01_figure_reproduction():
         g = downward_cycle(4)
         seven = build(g, Assignment(g, {"top": 4}))
         assert len(seven.states) == 7 and len(seven.edges) == 8
-        diamond_plus_tails = new_graph(
+        diamond_plus_tails = OrientedGraph(
             ["n1", "n2", "n3", "n4", "n5", "n6", "n7"],
             [("n1", "n2"), ("n1", "n3"), ("n3", "n4"), ("n2", "n4"),
              ("n2", "n5"), ("n3", "n6"), ("n5", "n7"), ("n6", "n7")],
@@ -66,7 +66,7 @@ def test_criterion_01_figure_reproduction():
 
         six = build(g, Assignment(g, {"l1": 4, "r1": 2}))
         assert len(six.states) == 6 and len(six.edges) == 7
-        second_figure = new_graph(
+        second_figure = OrientedGraph(
             ["n1", "n2", "n3", "n4", "n5", "n6"],
             [("n1", "n2"), ("n2", "n4"), ("n1", "n3"), ("n3", "n4"),
              ("n5", "n1"), ("n5", "n6"), ("n6", "n3")],

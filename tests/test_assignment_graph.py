@@ -8,12 +8,11 @@ import pytest
 
 from pebblab import (
     Assignment,
+    OrientedGraph,
     StateBudgetExceededError,
     build,
     downward_cycle,
     find_downward_4_cycle,
-    is_fully_traversable,
-    new_graph,
     oriented_path,
     simple_assignment,
     tree_assignment,
@@ -46,7 +45,7 @@ def test_six_state_figure():
 
 
 def test_no_moves_single_state():
-    g = new_graph(["a", "b"], [("a", "b")])
+    g = OrientedGraph(["a", "b"], [("a", "b")])
     ag = build(g, Assignment(g, {"a": 1, "b": 1}))
     assert len(ag.states) == 1
     assert len(ag.edges) == 0
@@ -68,18 +67,18 @@ def test_traversal_counts_path_simple():
 
 
 def test_traversal_counts_no_moves():
-    g = new_graph(["a", "b"], [("a", "b")])
+    g = OrientedGraph(["a", "b"], [("a", "b")])
     ag = build(g, Assignment(g, {"a": 1}))
     assert ag.traversal_counts() == {("a", "b"): 0}
 
 
 def test_fully_traversable_cases():
     p3 = oriented_path(3)
-    assert is_fully_traversable(p3, tree_assignment(p3, 2))
+    assert build(p3, tree_assignment(p3, 2)).is_fully_traversable()
     c4 = downward_cycle(4)
-    assert not is_fully_traversable(c4, Assignment(c4, {"l1": 2, "r1": 2}))
-    edgeless = new_graph(["a"])
-    assert not is_fully_traversable(edgeless, Assignment(edgeless, {"a": 5}))
+    assert not build(c4, Assignment(c4, {"l1": 2, "r1": 2})).is_fully_traversable()
+    edgeless = OrientedGraph(["a"])
+    assert not build(edgeless, Assignment(edgeless, {"a": 5})).is_fully_traversable()
 
 
 def test_build_matches_naive_oracle_on_corpus():
@@ -296,7 +295,7 @@ def test_field_width_boundaries(total):
     # out of its field would land in the fields of the vertices that move.
     edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "sink")]
     for names in (["a", "b", "c", "sink"], ["sink", "c", "b", "a"]):
-        g = new_graph(names, edges)
+        g = OrientedGraph(names, edges)
         for bulk, rest in ((total - 10, {"a": 5, "b": 2, "c": 3}), (total - 4, {"a": 4}), (total - 3, {"c": 3})):
             a = Assignment(g, {"sink": bulk, **rest})
             ag = assert_same_as_reference(g, a)
@@ -306,13 +305,13 @@ def test_field_width_boundaries(total):
 
 @pytest.mark.parametrize("total", [126, 127, 128, 129, 2**15, 2**15 + 1])
 def test_field_width_boundaries_on_a_moving_vertex(total):
-    g = new_graph(["a", "b"], [("a", "b")])
+    g = OrientedGraph(["a", "b"], [("a", "b")])
     ag = assert_same_as_reference(g, Assignment(g, (total - 1, 1)))
     assert ag.states[0] == (total - 1, 1) and len(ag.states) == (total - 1) // 2 + 1
 
 
 def test_zero_vertex_graph():
-    g = new_graph([])
+    g = OrientedGraph([])
     ag = assert_same_as_reference(g, Assignment(g, ()))
     assert ag.states == ((),) and ag.edges == ()
     assert ag.traversal_counts() == {} and not ag.is_fully_traversable()

@@ -356,52 +356,86 @@ def _exit_code(argv: list[str]) -> int:
         return exc.code
 
 
+# Each case keeps a fixed key, the position it once had, so removing a case
+# renames no other: the test id is the key and the message.
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify", "thm-3.1"], "needs --k"),
-        (["verify", "thm-7.1"], "needs --lengths, --path-pebbles"),
-        (["verify", "lem-7.1"], "needs --k, --n"),
-        (["verify", "lem-7.2"], "needs --n, --position, --heavy"),
-        (["verify", "thm-7.2", "--n", "2"], "needs --m"),
-        (["verify", "cor-7.1"], "needs --factor"),
-        (["verify", "thm-5.1"], "needs --input"),
-        (["verify", "cor-2.1", "--cap", "3"], "pebble cap must be at least 4"),
-        (["verify", "thm-7.1", "--lengths", "2,x", "--path-pebbles", "2,3"], "'2,x'"),
-        (
-            ["verify", "thm-3.1", "--k", "6", "--pebble-cap", "5"],
-            "does not read --pebble-cap; it accepts --cap, --k, --format and --output",
-        ),
-        (["verify", "sec-6", "--cap", "2"], "does not read --cap"),
-        (["verify", "sec-6", "--budget", "5"], "does not read --budget"),
-        (["verify", "cor-2.1", "--search-budget", "5"], "does not read --search-budget"),
-        (["verify", "thm-7.1", "--sweep", "--seed", "2"], "does not read --seed"),
-        (["verify", "thm-3.1", "--k", "6", "--emit-graph", "x"], "does not read --emit-graph"),
-        (["verify", "thm-7.1", "--lengths", "2", "--pebbles", "2"], "does not read --pebbles"),
-        (["verify", "thm-7.2", "--n", "2", "--m", "1", "--sweep"], "does not read --sweep"),
-        (["verify", "thm-7.1", "--lengths", "2,3", "--path-pebbles", "2"], "one of each per factor"),
-        (["verify", "thm-3.1", "--k", "6", "--cap", "-1"], "pebble cap must be non-negative"),
-        (["verify", "sec-6", "--vertex-cap", "-1", "--pebble-cap", "3"], "vertex cap must be non-negative"),
-        (["verify", "sec-6", "--vertex-cap", "3", "--pebble-cap", "-2"], "pebble cap must be non-negative"),
-        (["search", "--max-vertices", "3", "--pebble-cap", "-1"], "pebble cap must be non-negative"),
-        (["build", "cycle.txt", "--budget", "0"], "argument --budget: must be at least 1, got 0"),
-        (["verify", "thm-2.1", "--input", "cycle.txt", "--budget", "0"], "argument --budget"),
-        (["verify", "thm-7.2", "--n", "2", "--m", "1", "--search-budget", "0"], "argument --search-budget"),
-        (["verify", "thm-3.1", "--k", "6", "--shards", "2"], "unrecognized arguments: --shards 2"),
-        (["search", "--max-vertices", "2", "--pebble-cap", "2", "--shards", "2"], "unrecognized arguments: --shards 2"),
-        (["verify", "thm-5.1", "--random-trees", "0"], "tree count must be at least 1, got 0"),
-        (["verify", "thm-5.1", "--random-trees", "-1"], "tree count must be at least 1, got -1"),
-        (["verify", "thm-5.1", "--random-trees", "3", "--max-vertices", "1"], "max vertices must be at least 2, got 1"),
-        (["verify", "thm-7.1", "--sweep", "--max-factors", "-1"], "max factors must be at least 1, got -1"),
-        (["verify", "thm-7.1", "--sweep", "--max-length", "1"], "max length must be at least 2, got 1"),
-        (["verify", "lem-7.1", "--sweep", "--max-k", "-3"], "max k must be at least 2, got -3"),
-        (["verify", "lem-7.2", "--sweep", "--max-n", "0"], "max n must be at least 3, got 0"),
-        (["verify", "sec-6", "--vertex-cap", "0", "--pebble-cap", "3"], "vertex cap must be at least 1, got 0"),
-        (["verify", "cor-7.1", "--factor", "simple:n=3,src=2,sinks=5"], "does not read 'sinks'"),
-        (["verify", "cor-7.1", "--factor", "bogus"], "unknown path spec kind 'bogus'"),
-        (["verify", "cor-7.1", "--factor", "simple:n=3,n=2,src=2"], "repeats the key 'n'"),
-        (["search", "--max-vertices", "0", "--pebble-cap", "-1"], "pebble cap must be non-negative"),
-        (["search", "--max-vertices", "0", "--pebble-cap", "2"], "vertex cap must be at least 1, got 0"),
+        pytest.param(argv, message, id=f"{key}-{message}")
+        for key, argv, message in [
+            ("argv0", ["verify", "thm-3.1"], "needs --k"),
+            ("argv1", ["verify", "thm-7.1"], "needs --lengths, --path-pebbles"),
+            ("argv2", ["verify", "lem-7.1"], "needs --k, --n"),
+            ("argv3", ["verify", "lem-7.2"], "needs --n, --position, --heavy"),
+            ("argv4", ["verify", "thm-7.2", "--n", "2"], "needs --m"),
+            ("argv5", ["verify", "cor-7.1"], "needs --factor"),
+            ("argv6", ["verify", "thm-5.1"], "needs --input"),
+            ("argv7", ["verify", "cor-2.1", "--cap", "3"], "pebble cap must be at least 4"),
+            ("argv8", ["verify", "thm-7.1", "--lengths", "2,x", "--path-pebbles", "2,3"], "'2,x'"),
+            (
+                "argv9",
+                ["verify", "thm-3.1", "--k", "6", "--pebble-cap", "5"],
+                "does not read --pebble-cap; it accepts --cap, --k, --format and --output",
+            ),
+            ("argv10", ["verify", "sec-6", "--cap", "2"], "does not read --cap"),
+            ("argv11", ["verify", "sec-6", "--budget", "5"], "does not read --budget"),
+            ("argv12", ["verify", "cor-2.1", "--search-budget", "5"], "does not read --search-budget"),
+            ("argv13", ["verify", "thm-7.1", "--sweep", "--seed", "2"], "does not read --seed"),
+            ("argv14", ["verify", "thm-3.1", "--k", "6", "--emit-graph", "x"], "does not read --emit-graph"),
+            ("argv15", ["verify", "thm-7.1", "--lengths", "2", "--pebbles", "2"], "does not read --pebbles"),
+            ("argv16", ["verify", "thm-7.2", "--n", "2", "--m", "1", "--sweep"], "does not read --sweep"),
+            ("argv17", ["verify", "thm-7.1", "--lengths", "2,3", "--path-pebbles", "2"], "one of each per factor"),
+            ("argv18", ["verify", "thm-3.1", "--k", "6", "--cap", "-1"], "pebble cap must be non-negative"),
+            (
+                "argv19",
+                ["verify", "sec-6", "--vertex-cap", "-1", "--pebble-cap", "3"],
+                "vertex cap must be non-negative",
+            ),
+            (
+                "argv20",
+                ["verify", "sec-6", "--vertex-cap", "3", "--pebble-cap", "-2"],
+                "pebble cap must be non-negative",
+            ),
+            ("argv21", ["search", "--max-vertices", "3", "--pebble-cap", "-1"], "pebble cap must be non-negative"),
+            ("argv22", ["build", "cycle.txt", "--budget", "0"], "argument --budget: must be at least 1, got 0"),
+            ("argv23", ["verify", "thm-2.1", "--input", "cycle.txt", "--budget", "0"], "argument --budget"),
+            (
+                "argv24",
+                ["verify", "thm-7.2", "--n", "2", "--m", "1", "--search-budget", "0"],
+                "argument --search-budget",
+            ),
+            ("argv25", ["verify", "thm-3.1", "--k", "6", "--shards", "2"], "unrecognized arguments: --shards 2"),
+            (
+                "argv26",
+                ["search", "--max-vertices", "2", "--pebble-cap", "2", "--shards", "2"],
+                "unrecognized arguments: --shards 2",
+            ),
+            ("argv27", ["verify", "thm-5.1", "--random-trees", "0"], "tree count must be at least 1, got 0"),
+            ("argv28", ["verify", "thm-5.1", "--random-trees", "-1"], "tree count must be at least 1, got -1"),
+            (
+                "argv29",
+                ["verify", "thm-5.1", "--random-trees", "3", "--max-vertices", "1"],
+                "max vertices must be at least 2, got 1",
+            ),
+            (
+                "argv30",
+                ["verify", "thm-7.1", "--sweep", "--max-factors", "-1"],
+                "max factors must be at least 1, got -1",
+            ),
+            ("argv31", ["verify", "thm-7.1", "--sweep", "--max-length", "1"], "max length must be at least 2, got 1"),
+            ("argv32", ["verify", "lem-7.1", "--sweep", "--max-k", "-3"], "max k must be at least 2, got -3"),
+            ("argv33", ["verify", "lem-7.2", "--sweep", "--max-n", "0"], "max n must be at least 3, got 0"),
+            (
+                "argv34",
+                ["verify", "sec-6", "--vertex-cap", "0", "--pebble-cap", "3"],
+                "vertex cap must be at least 1, got 0",
+            ),
+            ("argv35", ["verify", "cor-7.1", "--factor", "simple:n=3,src=2,sinks=5"], "does not read 'sinks'"),
+            ("argv36", ["verify", "cor-7.1", "--factor", "bogus"], "unknown path spec kind 'bogus'"),
+            ("argv37", ["verify", "cor-7.1", "--factor", "simple:n=3,n=2,src=2"], "repeats the key 'n'"),
+            ("argv38", ["search", "--max-vertices", "0", "--pebble-cap", "-1"], "pebble cap must be non-negative"),
+            ("argv39", ["search", "--max-vertices", "0", "--pebble-cap", "2"], "vertex cap must be at least 1, got 0"),
+        ]
     ],
 )
 def test_verify_usage_errors_exit_2(capsys, argv, message):

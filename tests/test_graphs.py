@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pebblab import (
@@ -12,22 +14,21 @@ from pebblab import (
     UnknownVertexError,
     cartesian_product,
     downward_cycle,
-    new_graph,
     oriented_complete_bipartite,
     oriented_path,
 )
-from pebblab.generate import enumerate_oriented_graphs
-from oracles import reference_graded_root, undirected_cycle_exists
+from pebblab.generate import enumerate_oriented_graphs, random_downward_tree, random_oriented_graph
+from oracles import reference_graded_root, reference_is_downward_tree, undirected_cycle_exists
 
 
 def test_single_vertex_graph():
-    g = new_graph(["a"])
+    g = OrientedGraph(["a"])
     assert g.vertices == ("a",)
     assert g.edges == ()
 
 
 def test_downward_4_cycle_by_hand():
-    g = new_graph(["r", "l", "s", "b"], [("r", "l"), ("r", "s"), ("l", "b"), ("s", "b")])
+    g = OrientedGraph(["r", "l", "s", "b"], [("r", "l"), ("r", "s"), ("l", "b"), ("s", "b")])
     assert g.valence("r") == 2
     assert g.valence("b") == 0
     assert g.sources() == ("r",)
@@ -36,22 +37,22 @@ def test_downward_4_cycle_by_hand():
 
 def test_constructor_rejects_bidirectional_edge():
     with pytest.raises(BidirectionalEdgeError):
-        new_graph(["a", "b"], [("a", "b"), ("b", "a")])
+        OrientedGraph(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 def test_constructor_rejects_self_loop():
     with pytest.raises(SelfLoopError):
-        new_graph(["a", "b"], [("a", "a")])
+        OrientedGraph(["a", "b"], [("a", "a")])
 
 
 def test_constructor_rejects_duplicate_vertex():
     with pytest.raises(DuplicateVertexError):
-        new_graph(["a", "a"])
+        OrientedGraph(["a", "a"])
 
 
 def test_constructor_rejects_unknown_endpoint():
     with pytest.raises(UnknownEndpointError):
-        new_graph(["a"], [("a", "b")])
+        OrientedGraph(["a"], [("a", "b")])
 
 
 PATH6 = [f"p{i}" for i in range(1, 7)]
@@ -77,30 +78,30 @@ PATH6_EDGES = list(zip(PATH6, PATH6[1:]))
 def test_constructor_names_the_first_offending_edge(bad, position, error, message):
     edges = PATH6_EDGES[:position] + [bad] + PATH6_EDGES[position:]
     with pytest.raises(error) as caught:
-        new_graph(PATH6, edges)
+        OrientedGraph(PATH6, edges)
     assert str(caught.value) == message
 
 
 def test_constructor_reports_the_earliest_of_several_errors():
     with pytest.raises(SelfLoopError, match="'p2'"):
-        new_graph(PATH6, [("p1", "p2"), ("p2", "p2"), ("p1", "zz"), ("p2", "p1")])
+        OrientedGraph(PATH6, [("p1", "p2"), ("p2", "p2"), ("p1", "zz"), ("p2", "p1")])
     with pytest.raises(BidirectionalEdgeError) as caught:
-        new_graph(PATH6, [("p1", "p2"), ("p1", "p2"), ("p2", "p1"), ("zz", "p1")])
+        OrientedGraph(PATH6, [("p1", "p2"), ("p1", "p2"), ("p2", "p1"), ("zz", "p1")])
     assert str(caught.value) == "edges in both directions between 'p2' and 'p1'"
     with pytest.raises(DuplicateVertexError) as caught:
-        new_graph(["a", "b", "b", "a"])
+        OrientedGraph(["a", "b", "b", "a"])
     assert str(caught.value) == "duplicate vertex 'b'"
 
 
 def test_constructor_accepts_edges_as_pairs_of_any_kind():
-    g = new_graph(["a", "b", "c"], iter([["a", "b"], "bc", ("a", "c"), ["a", "b"]]))
+    g = OrientedGraph(["a", "b", "c"], iter([["a", "b"], "bc", ("a", "c"), ["a", "b"]]))
     assert g.edges == (("a", "b"), ("b", "c"), ("a", "c"))
     assert g.out_neighbors("a") == ("b", "c")
     assert g.in_neighbors("c") == ("b", "a")
 
 
 def test_duplicate_edges_collapse():
-    g = new_graph(["a", "b"], [("a", "b"), ("a", "b")])
+    g = OrientedGraph(["a", "b"], [("a", "b"), ("a", "b")])
     assert g.edges == (("a", "b"),)
 
 
@@ -124,7 +125,7 @@ def test_valence_sums_to_edge_count(small_graphs):
 
 def test_cached_facts_leave_the_graph_immutable_and_equal(small_graphs):
     for _, g in small_graphs:
-        twin = new_graph(g.vertices, g.edges)
+        twin = OrientedGraph(g.vertices, g.edges)
         before = hash(g)
         sources, valences = g.sources(), tuple(g.valence(v) for v in g.vertices)
         root = g.graded_root()
@@ -148,7 +149,7 @@ def test_pickled_graph_is_equal_ordered_and_immutable(small_graphs):
     for g in graphs:
         g.sources(), g.graded_root()  # a filled cache must not travel or break the copy
         data = pickle.dumps(g)
-        assert data == pickle.dumps(new_graph(g.vertices, g.edges))
+        assert data == pickle.dumps(OrientedGraph(g.vertices, g.edges))
         copy = pickle.loads(data)
         assert copy == g and hash(copy) == hash(g)
         assert copy.graded_root() == g.graded_root()
@@ -186,13 +187,13 @@ def test_graded_root_matches_the_source_distance_levels():
     ],
 )
 def test_graded_root_cases(vertices, edges, root):
-    g = new_graph(vertices, edges)
+    g = OrientedGraph(vertices, edges)
     assert g.graded_root() == root == reference_graded_root(g)
     assert g.graded_root() == root  # the cached answer
 
 
 def test_sources_sinks_edgeless():
-    g = new_graph(["a", "b", "c"])
+    g = OrientedGraph(["a", "b", "c"])
     assert g.sources() == ("a", "b", "c")
     assert g.sinks() == ("a", "b", "c")
 
@@ -239,11 +240,37 @@ def test_underlying_cycle_matches_dfs_oracle(small_graphs):
 def test_downward_tree_detection():
     assert oriented_path(4).is_downward_tree() == "a1"
     assert downward_cycle(4).is_downward_tree() is None
-    two_edges = new_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    two_edges = OrientedGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     assert two_edges.is_downward_tree() is None
     # right edge count but a cycle component beside the root
-    trap = new_graph(["r", "a", "b", "c"], [("r", "a")])
+    trap = OrientedGraph(["r", "a", "b", "c"], [("r", "a")])
     assert trap.is_downward_tree() is None
+
+
+def test_downward_tree_matches_the_depth_first_oracle():
+    def check(g):
+        reordered = OrientedGraph(reversed(g.vertices), g.edges)
+        for h in (g, reordered):
+            assert h.is_downward_tree() == reference_is_downward_tree(h), h
+
+    for g in enumerate_oriented_graphs(5):
+        check(g)
+    check(OrientedGraph([]))
+    rng = random.Random(2021)
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        g = random_oriented_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+        tree = random_downward_tree(rng, n)
+        # Reversing one edge keeps n - 1 edges and mostly breaks the tree.
+        flipped = list(tree.edges)
+        if flipped:
+            k = rng.randrange(len(flipped))
+            flipped[k] = flipped[k][::-1]
+        for h in (g, tree, OrientedGraph(tree.vertices, flipped)):
+            names, edges = list(h.vertices), list(h.edges)
+            rng.shuffle(names)
+            rng.shuffle(edges)
+            check(OrientedGraph(names, edges))
 
 
 def test_cartesian_product_p2_p2_is_downward_4_cycle():

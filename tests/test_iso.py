@@ -19,7 +19,6 @@ from pebblab import (
     downward_cycle,
     find_induced_undirected_embedding,
     find_oriented_subgraph,
-    new_graph,
     oriented_complete_bipartite,
     oriented_path,
     random_downward_tree,
@@ -42,15 +41,15 @@ def _random_relabel(rng, g):
 
 
 SMALL = [
-    new_graph(["a"]),
-    new_graph(["a", "b", "c"]),
+    OrientedGraph(["a"]),
+    OrientedGraph(["a", "b", "c"]),
     oriented_path(3),
     oriented_path(4),
     downward_cycle(4),
     oriented_complete_bipartite(1, 2),
     oriented_complete_bipartite(2, 2),
-    new_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]),
-    new_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
+    OrientedGraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]),
+    OrientedGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
 ]
 
 
@@ -100,7 +99,7 @@ def test_state_graph_iso_examples():
 
 
 def test_undirected_examples():
-    cyclic = new_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    cyclic = OrientedGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     assert digraph_isomorphic(downward_cycle(4), cyclic) is None
     assert undirected_isomorphic(downward_cycle(4), cyclic) is not None
     star_out = oriented_complete_bipartite(1, 2)
@@ -118,7 +117,7 @@ def test_automorphism_counts():
 
 
 def test_automorphisms_form_a_group():
-    for g in (downward_cycle(4), oriented_complete_bipartite(2, 2), new_graph(["a", "b", "c"])):
+    for g in (downward_cycle(4), oriented_complete_bipartite(2, 2), OrientedGraph(["a", "b", "c"])):
         maps = [m.mapping for m in automorphisms(g)]
         identity = {v: v for v in g.vertices}
         assert identity in maps
@@ -155,8 +154,8 @@ def test_canonical_form_examples():
     c6 = downward_cycle(6)
     assert canonical_form(_random_relabel(rng, c6)) == canonical_form(c6)
     assert canonical_form(downward_cycle(4)) != canonical_form(oriented_complete_bipartite(2, 2))
-    e3a = new_graph(["a", "b", "c"])
-    e3b = new_graph(["z", "q", "m"])
+    e3a = OrientedGraph(["a", "b", "c"])
+    e3b = OrientedGraph(["z", "q", "m"])
     assert canonical_form(e3a) == canonical_form(e3b)
 
 
@@ -168,7 +167,7 @@ def test_induced_embedding_examples():
     assert witness.mode == "induced-embedding"
     assert verify_mapping(p3, state_graph, witness)
 
-    triangle = new_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    triangle = OrientedGraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     c4 = downward_cycle(4)
     seven = build(c4, Assignment(c4, {"top": 4})).as_oriented_graph()
     assert find_induced_undirected_embedding(triangle, seven) is None  # bipartite host
@@ -184,7 +183,7 @@ def test_induced_embedding_respects_non_edges():
     witness = find_induced_undirected_embedding(p3, c4)
     assert witness is not None
     # complete shadow triangle is not induced in a 4-cycle shadow
-    tri = new_graph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+    tri = OrientedGraph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
     assert find_induced_undirected_embedding(tri, c4) is None
 
 
@@ -304,7 +303,7 @@ def test_digraph_isomorphic_agrees_with_networkx():
         # checks rarely settle the answer.
         names = [f"w{i}" for i in range(n)]
         pairs = rng.sample(list(combinations(names, 2)), len(g.edges))
-        other = new_graph(names, [(u, w) if rng.random() < 0.5 else (w, u) for u, w in pairs])
+        other = OrientedGraph(names, [(u, w) if rng.random() < 0.5 else (w, u) for u, w in pairs])
         for h in (copy, other):
             expected = nx.is_isomorphic(_as_nx(g, nx.DiGraph), _as_nx(h, nx.DiGraph))
             assert (digraph_isomorphic(g, h) is not None) == expected, (g.edges, h.edges)

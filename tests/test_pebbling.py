@@ -6,10 +6,10 @@ from pebblab import (
     Assignment,
     AssignmentError,
     IllegalMoveError,
+    OrientedGraph,
     downward_cycle,
     heavy_step_assignment,
     near_sink_assignment,
-    new_graph,
     oriented_complete_bipartite,
     oriented_path,
     product_assignment,
@@ -223,7 +223,7 @@ def test_tree_assignment_matches_classification_shape():
 def test_assignment_text_round_trip():
     from pebblab import format_assignment, parse_graph_text
 
-    g = new_graph(["x", "y"], [("x", "y")])
+    g = OrientedGraph(["x", "y"], [("x", "y")])
     a = Assignment(g, {"x": 2})
     g2, a2 = parse_graph_text(format_assignment(a))
     assert g2 == g

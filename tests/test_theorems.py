@@ -18,6 +18,7 @@ from pebblab import (
     AssignmentError,
     EmbeddingNotFoundError,
     GraphError,
+    OrientedGraph,
     UnknownClaimError,
     build,
     canonical_pair_key,
@@ -26,7 +27,6 @@ from pebblab import (
     construct_thm_8_1,
     downward_cycle,
     format_assignment,
-    new_graph,
     oriented_complete_bipartite,
     oriented_path,
     random_downward_tree,
@@ -54,7 +54,7 @@ from array import array
 
 from pebblab import classify, theorems
 from pebblab.assignment_graph import AssignmentGraph
-from pebblab.classify import built_isomorphism, iter_assignments, iter_count_vectors, state_graph_isomorphism
+from pebblab.classify import built_isomorphism, iter_count_vectors, state_graph_isomorphism
 from pebblab.generate import enumerate_oriented_graphs, random_assignment, random_oriented_graph
 from pebblab.pebbling import near_sink_assignment
 from pebblab.theorems import (
@@ -118,7 +118,7 @@ def test_prop_1_1_heavy_source_path_not_isomorphic():
 def test_cor_1_1_holds_and_gates():
     p3 = oriented_path(3)
     assert verify_cor_1_1(p3, tree_assignment(p3, 3)).verdict == HOLDS
-    single = new_graph(["a"])
+    single = OrientedGraph(["a"])
     report = verify_cor_1_1(single, Assignment(single, {"a": 5}))
     assert report.verdict == HYPOTHESIS_NOT_MET
 
@@ -140,7 +140,7 @@ def test_cor_1_2_holds_on_side_family():
 
 
 def test_cor_1_2_gates():
-    single = new_graph(["a"])
+    single = OrientedGraph(["a"])
     assert verify_cor_1_2(single, Assignment(single, {"a": 5})).verdict == HYPOTHESIS_NOT_MET
     p3 = oriented_path(3)
     assert verify_cor_1_2(p3, tree_assignment(p3, 2)).verdict == HYPOTHESIS_NOT_MET
@@ -160,7 +160,7 @@ def test_thm_2_1_examples():
     assert report.verdict == HOLDS
     assert report.stats["contains_downward_4_cycle"] is False
 
-    two_paths = new_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    two_paths = OrientedGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     report = check_thm_2_1(two_paths, Assignment(two_paths, {"a": 2, "c": 2}))
     assert report.verdict == HOLDS
     assert report.stats["contains_downward_4_cycle"] is True
@@ -373,7 +373,7 @@ def test_thm_5_1_examples():
 
 
 def test_explicit_tree_map_needs_legal_moves_along_root_paths():
-    tree = new_graph(["r", "x", "y", "z"], [("r", "x"), ("x", "y"), ("r", "z")])
+    tree = OrientedGraph(["r", "x", "y", "z"], [("r", "x"), ("x", "y"), ("r", "z")])
     ok = tree_assignment(tree, 2)
     assert theorems._explicit_tree_map_is_isomorphism(tree, build(tree, ok))
     # With x empty, r -> x leaves x one pebble, so x -> y is never legal on
@@ -560,19 +560,6 @@ def test_count_vectors_match_the_base_conversion():
         iter_count_vectors(2, -1)
 
 
-def test_iter_assignments_match_the_scatter_over_count_vectors():
-    for g in enumerate_oriented_graphs(4):
-        for cap in range(4):
-            got = list(iter_assignments(g, cap))
-            want = [(idx, a.counts) for idx, a in reference_iter_assignments(g, cap)]
-            assert [(idx, a.counts) for idx, a in got] == want, (g, cap)
-            for _, a in got:
-                checked = Assignment(g, a.counts)
-                assert a == checked and hash(a) == hash(checked)
-    with pytest.raises(AssignmentError):
-        iter_assignments(downward_cycle(4), -1)
-
-
 def test_a_negative_pebble_cap_fails_before_any_graph(monkeypatch):
     import pebblab.classify as classify
 
@@ -591,7 +578,7 @@ def test_state_graph_isomorphism_matches_the_listed_moves():
     for max_vertices, min_vertices, cap in ((4, 1, 3), (5, 5, 2)):
         compared = found = 0
         for g in enumerate_oriented_graphs(max_vertices, min_vertices=min_vertices):
-            for _, a in iter_assignments(g, cap):
+            for _, a in reference_iter_assignments(g, cap):
                 expected = reference_state_graph_isomorphism(g, a)
                 got = state_graph_isomorphism(g, a)
                 if expected is None:
@@ -681,7 +668,7 @@ def test_thm_8_1_four_cycle():
 
 
 def test_thm_8_1_embedding_not_found():
-    triangle = new_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    triangle = OrientedGraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     with pytest.raises(EmbeddingNotFoundError):
         construct_thm_8_1(triangle, Assignment(triangle, {"a": 4}))
 
@@ -904,9 +891,9 @@ def test_a_state_graph_with_other_transition_count_is_never_named(monkeypatch):
 
     p2 = oriented_path(2)
     chain = build(p2, Assignment(p2, [4, 0]))
-    pair = new_graph(["u", "v", "w", "x"], [("u", "v"), ("w", "x")])
+    pair = OrientedGraph(["u", "v", "w", "x"], [("u", "v"), ("w", "x")])
     diamond = build(pair, Assignment(pair, [2, 0, 2, 0]))
-    triangle = new_graph(["s", "a", "b"], [("s", "a"), ("a", "b"), ("s", "b")])
+    triangle = OrientedGraph(["s", "a", "b"], [("s", "a"), ("a", "b"), ("s", "b")])
     monkeypatch.setattr(AssignmentGraph, "as_oriented_graph", refuse)
     assert (len(chain.states), len(chain.edges)) == (3, 2)
     assert (len(diamond.states), len(diamond.edges)) == (4, 4)
@@ -917,7 +904,7 @@ def test_a_state_graph_with_other_transition_count_is_never_named(monkeypatch):
 def test_built_isomorphism_matches_the_direct_call():
     compared = found = 0
     for g in enumerate_oriented_graphs(4):
-        for _, a in iter_assignments(g, 2):
+        for _, a in reference_iter_assignments(g, 2):
             ag = build(g, a)
             expected = reference_built_isomorphism(g, ag)
             # The second call may answer from the memo; both must match.
@@ -953,7 +940,7 @@ def _forked_stem():
     """r -> m -> {x, y}, y -> z: under r=2, m=1, y=1 its state graph is
     itself; under r=4 it has as many states and transitions, in other rows,
     and is not isomorphic to it."""
-    return new_graph(["r", "m", "x", "y", "z"], [("r", "m"), ("m", "x"), ("m", "y"), ("y", "z")])
+    return OrientedGraph(["r", "m", "x", "y", "z"], [("r", "m"), ("m", "x"), ("m", "y"), ("y", "z")])
 
 
 def test_a_tree_checked_twice_is_searched_once(searches):
@@ -971,7 +958,7 @@ def test_a_tree_checked_twice_is_searched_once(searches):
     assert len(searches) == 1
     assert [r["verdict"] for r in same_tree] == [HOLDS, HOLDS]
     # A copy is another graph object, so prop-1.1 searches again.
-    assert reports(new_graph(tree.vertices, tree.edges)) == same_tree
+    assert reports(OrientedGraph(tree.vertices, tree.edges)) == same_tree
     assert len(searches) == 2
 
 
@@ -1003,7 +990,7 @@ def test_the_memo_holds_one_entry(searches):
 def test_a_missing_isomorphism_is_remembered_too(searches):
     # Two sources, so never isomorphic to a state graph; both assignments
     # give 4 states and 3 transitions in the same rows.
-    g = new_graph(["v0", "v1", "v2", "v3"], [("v1", "v2"), ("v1", "v3"), ("v2", "v3")])
+    g = OrientedGraph(["v0", "v1", "v2", "v3"], [("v1", "v2"), ("v1", "v3"), ("v2", "v3")])
     built = [build(g, Assignment(g, {"v1": top, "v2": 1})) for top in (2, 3)]
     assert [(len(ag.states), len(ag.edges)) for ag in built] == [(4, 3), (4, 3)]
     assert _rows(built[0]) == _rows(built[1])
