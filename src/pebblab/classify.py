@@ -32,7 +32,8 @@ from .assignment_graph import AssignmentGraph, build
 from .errors import AssignmentError, GraphError, StateBudgetExceededError
 from .generate import enumerate_oriented_graphs
 from .graphs import OrientedGraph, downward_cycle
-from .iso import IsoMapping, automorphisms, canonical_labeling, digraph_isomorphic
+# digraph_isomorphic is not called here, but perfbench's tracer patches it here.
+from .iso import IsoMapping, automorphisms, canonical_labeling, digraph_isomorphic, isomorphism_onto_rows
 from .pebbling import Assignment
 from .textio import format_graph
 
@@ -73,26 +74,27 @@ def _built_witness(g: OrientedGraph, a: Assignment) -> tuple[AssignmentGraph, Is
 
 
 # The last answer of `built_isomorphism`: (graph, offsets row, targets row,
-# witness or None).  The rows fix `ag.as_oriented_graph()` exactly, so for
-# the same graph object they fix the search's answer.  Only state graphs
-# with |V(g)| states reach the memo, so the entry stays graph-sized; it is
+# witness or None).  For the same graph object the rows fix the search's
+# answer, and they never change once `build` returns, so the entry holds the
+# rows themselves and compares them with ``==``.  Only state graphs with
+# |V(g)| states reach the memo, so the entry stays graph-sized; it is
 # replaced whole, so concurrent callers read either the old or the new one.
-_last_isomorphism: tuple[OrientedGraph, bytes, bytes, IsoMapping | None] | None = None
+_last_isomorphism: tuple[OrientedGraph, memoryview, memoryview, IsoMapping | None] | None = None
 
 
 def built_isomorphism(g: OrientedGraph, ag: AssignmentGraph) -> IsoMapping | None:
     """Witness that ``g`` is isomorphic to the built state graph ``ag``, or
-    ``None``; counts are compared first, so a mismatch names no state.  A
-    repeat of the last call's graph and state-graph rows skips the search."""
+    ``None``; counts are compared first, so a mismatch names no state.  The
+    search reads the state graph's rows, naming a state only in the
+    witness.  A repeat of the last call's graph and rows skips the search."""
     global _last_isomorphism
-    targets = ag.targets
+    offsets, targets = ag.offsets, ag.targets
     if len(ag.packed) != len(g.vertices) or len(targets) != len(g.edges):
         return None
-    offsets, targets = bytes(ag.offsets), bytes(targets)
     last = _last_isomorphism
     if last is not None and last[0] is g and last[1] == offsets and last[2] == targets:
         return last[3]
-    found = digraph_isomorphic(g, ag.as_oriented_graph())
+    found = isomorphism_onto_rows(g, offsets, targets)
     _last_isomorphism = (g, offsets, targets, found)
     return found
 

@@ -14,7 +14,9 @@ runs out, so a missing result is never mistaken for a proved absence.
 Witnesses come in four modes: ``"directed"`` and ``"undirected"``
 isomorphisms, ``"induced-embedding"`` (g's shadow onto an induced subgraph of
 h's shadow) and ``"subgraph"`` (every oriented edge of g onto an oriented edge
-of h).  Each is re-verified by ``verify_mapping`` before it is returned.
+of h).  Each is re-verified by ``verify_mapping`` before it is returned;
+``isomorphism_onto_rows``, which names no target graph, rechecks its
+directed witness in index form instead.
 
 Color refinement (``_refine``) ranks each vertex's (color, sorted out-neighbor
 colors, sorted in-neighbor colors) signature and stops in the first round in
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, pairwise
 
 from .errors import PebblabError, SearchBudgetExceededError
 from .graphs import OrientedGraph
@@ -274,6 +276,29 @@ def _isomorphic(g: OrientedGraph, h: OrientedGraph, mode: str) -> IsoMapping | N
 def digraph_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoMapping | None:
     """A directed-isomorphism witness, or ``None`` if none exists."""
     return _isomorphic(g, h, "directed")
+
+
+def isomorphism_onto_rows(g: OrientedGraph, offsets, targets) -> IsoMapping | None:
+    """`digraph_isomorphic` onto the graph whose vertex i, named ``str(i)``,
+    has the out-edges ``targets[offsets[i]:offsets[i+1]]``, without naming
+    it: the same search on the same index sets finds the same witness.
+    The witness is rechecked in index form."""
+    flat = targets.tolist()
+    h_out = [set(flat[lo:hi]) for lo, hi in pairwise(offsets.tolist())]
+    h_in: list[set[int]] = [set() for _ in h_out]
+    for x, row in enumerate(h_out):
+        for y in row:
+            h_in[y].add(x)
+    g_out, g_in = _directed_adj(g)
+    found = _isomorphisms(g_out, g_in, h_out, h_in, want_all=False)
+    if not found:
+        return None
+    image = found[0]
+    carried = {(image[u], image[w]) for u, row in enumerate(g_out) for w in row}
+    rows = {(x, y) for x, row in enumerate(h_out) for y in row}
+    if sorted(image) != list(range(len(h_out))) or carried != rows:
+        raise PebblabError("internal error: witness failed verification")
+    return IsoMapping("directed", tuple(zip(g.vertices, map(str, image))))
 
 
 def undirected_isomorphic(g: OrientedGraph, h: OrientedGraph) -> IsoMapping | None:

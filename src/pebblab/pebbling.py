@@ -164,18 +164,13 @@ def tree_assignment(
         raise AssignmentError("graph is not a downward directed rooted tree")
     if root_pebbles not in (2, 3):
         raise AssignmentError(f"root pebbles must be 2 or 3, got {root_pebbles}")
+    valences = tree.valences()
     leaf_pebbles = dict(leaf_pebbles or {})
     for v in leaf_pebbles:
-        if tree.valence(v) != 0:
+        if valences[tree.index(v)] != 0:
             raise AssignmentError(f"vertex {v!r} has non-zero valence, not a leaf count slot")
-    counts = {}
-    for v in tree.vertices:
-        if v == root:
-            counts[v] = root_pebbles
-        elif tree.valence(v) >= 1:
-            counts[v] = 1
-        else:
-            counts[v] = leaf_pebbles.get(v, 0)
+    counts = [1 if d else leaf_pebbles.get(v, 0) for v, d in zip(tree.vertices, valences)]
+    counts[tree.index(root)] = root_pebbles
     return Assignment(tree, counts)
 
 

@@ -77,6 +77,11 @@ among the first ``search_budget`` box indices, must return the same report.
 ``reference_built_isomorphism`` is the earlier direct test of a graph
 against its built state graph, which named every state before comparing any
 count; ``classify.built_isomorphism`` must return the same witness.
+
+``reference_tree_assignment`` is the earlier ``tree_assignment``, which
+looked up each vertex's valence by name and built a count dict;
+``pebbling.tree_assignment``, which reads the cached valence list, must
+return the same counts and raise the same errors.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ from itertools import combinations, permutations, product
 
 from pebblab import (
     Assignment,
+    AssignmentError,
     BudgetExceededError,
     OrientedGraph,
     StateBudgetExceededError,
@@ -504,6 +510,27 @@ def reference_count_vectors(length: int, cap: int):
 
 def reference_built_isomorphism(g: OrientedGraph, ag):
     return digraph_isomorphic(g, ag.as_oriented_graph())
+
+
+def reference_tree_assignment(tree: OrientedGraph, root_pebbles: int, leaf_pebbles=None) -> Assignment:
+    root = tree.is_downward_tree()
+    if root is None:
+        raise AssignmentError("graph is not a downward directed rooted tree")
+    if root_pebbles not in (2, 3):
+        raise AssignmentError(f"root pebbles must be 2 or 3, got {root_pebbles}")
+    leaf_pebbles = dict(leaf_pebbles or {})
+    for v in leaf_pebbles:
+        if tree.valence(v) != 0:
+            raise AssignmentError(f"vertex {v!r} has non-zero valence, not a leaf count slot")
+    counts = {}
+    for v in tree.vertices:
+        if v == root:
+            counts[v] = root_pebbles
+        elif tree.valence(v) >= 1:
+            counts[v] = 1
+        else:
+            counts[v] = leaf_pebbles.get(v, 0)
+    return Assignment(tree, counts)
 
 
 def reference_iter_assignments(g: OrientedGraph, cap: int):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pebblab import (
@@ -16,7 +18,9 @@ from pebblab import (
     simple_assignment,
     tree_assignment,
 )
+from pebblab.generate import enumerate_downward_trees
 from conftest import star_tree
+from oracles import reference_tree_assignment
 
 
 def test_assignment_normalizes_absent_to_zero():
@@ -141,6 +145,42 @@ def test_tree_assignment():
         tree_assignment(p3, 5)
     with pytest.raises(AssignmentError):
         tree_assignment(star, 2, {"root": 1})
+
+
+def test_tree_assignment_matches_its_oracle():
+    rng = random.Random(2302)
+    for tree in enumerate_downward_trees(7):
+        for root_pebbles in (2, 3):
+            leaves = {v: rng.randint(0, 9) for v in tree.sinks() if rng.random() < 0.7}
+            got = tree_assignment(tree, root_pebbles, leaves)
+            assert got.counts == reference_tree_assignment(tree, root_pebbles, leaves).counts
+            assert got.graph is tree
+
+
+def _raised(f, *args) -> tuple[type, str]:
+    try:
+        f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no exception")
+
+
+@pytest.mark.parametrize(
+    "root_pebbles, leaves",
+    [
+        (2, {"nowhere": 1}),
+        (2, {"root": 1}),
+        (3, {"leaf1": 0, "root": 0}),
+        (1, None),
+        (4, None),
+        (2, {"leaf1": -1}),
+        (2, {"leaf2": 2.5}),
+    ],
+)
+def test_tree_assignment_errors_match_its_oracle(root_pebbles, leaves):
+    star = star_tree(3)
+    want = _raised(reference_tree_assignment, star, root_pebbles, leaves)
+    assert _raised(tree_assignment, star, root_pebbles, leaves) == want
 
 
 def test_near_sink_assignment():

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from pebblab import (
     EmbeddingNotFoundError,
     GraphError,
     OrientedGraph,
+    PebblabError,
     UnknownClaimError,
     build,
     canonical_pair_key,
@@ -29,6 +30,7 @@ from pebblab import (
     format_assignment,
     oriented_complete_bipartite,
     oriented_path,
+    product_assignment,
     random_downward_tree,
     replay,
     run_claim,
@@ -52,7 +54,7 @@ from pebblab import (
 )
 from array import array
 
-from pebblab import classify, theorems
+from pebblab import classify, iso, theorems
 from pebblab.assignment_graph import AssignmentGraph
 from pebblab.classify import built_isomorphism, iter_count_vectors, state_graph_isomorphism
 from pebblab.generate import enumerate_oriented_graphs, random_assignment, random_oriented_graph
@@ -875,12 +877,17 @@ LARGER_STATE_GRAPHS = [
 ]
 
 
+def _refuse_search(g, offsets, targets):
+    raise AssertionError("isomorphism search run on a state graph of another size")
+
+
 @pytest.mark.parametrize("check, args, verdict, stats", LARGER_STATE_GRAPHS)
 def test_a_larger_state_graph_is_never_named(monkeypatch, check, args, verdict, stats):
     def refuse(self):
         raise AssertionError("as_oriented_graph called on a state graph of another size")
 
     monkeypatch.setattr(AssignmentGraph, "as_oriented_graph", refuse)
+    monkeypatch.setattr(classify, "isomorphism_onto_rows", _refuse_search)
     report = check(*args)
     assert (report.verdict, report.stats, report.witness) == (verdict, stats, None)
 
@@ -895,6 +902,7 @@ def test_a_state_graph_with_other_transition_count_is_never_named(monkeypatch):
     diamond = build(pair, Assignment(pair, [2, 0, 2, 0]))
     triangle = OrientedGraph(["s", "a", "b"], [("s", "a"), ("a", "b"), ("s", "b")])
     monkeypatch.setattr(AssignmentGraph, "as_oriented_graph", refuse)
+    monkeypatch.setattr(classify, "isomorphism_onto_rows", _refuse_search)
     assert (len(chain.states), len(chain.edges)) == (3, 2)
     assert (len(diamond.states), len(diamond.edges)) == (4, 4)
     assert built_isomorphism(triangle, chain) is None
@@ -922,13 +930,13 @@ def test_built_isomorphism_matches_the_direct_call():
 def searches(monkeypatch):
     """Count the isomorphism searches that `built_isomorphism` runs."""
     calls = []
-    real = classify.digraph_isomorphic
+    real = classify.isomorphism_onto_rows
 
-    def counted(g, h):
+    def counted(g, offsets, targets):
         calls.append(g)
-        return real(g, h)
+        return real(g, offsets, targets)
 
-    monkeypatch.setattr(classify, "digraph_isomorphic", counted)
+    monkeypatch.setattr(classify, "isomorphism_onto_rows", counted)
     return calls
 
 
@@ -996,6 +1004,63 @@ def test_a_missing_isomorphism_is_remembered_too(searches):
     assert _rows(built[0]) == _rows(built[1])
     assert [built_isomorphism(g, ag) for ag in built] == [None, None]
     assert len(searches) == 1
+
+
+def _same_witness(g, ag) -> bool:
+    got, want = built_isomorphism(g, ag), reference_built_isomorphism(g, ag)
+    return (got and got.pairs) == (want and want.pairs)
+
+
+def test_the_row_search_matches_the_named_search_on_random_trees():
+    # Leaves hold any count, so sibling leaves are twins whose images only
+    # the search order decides.
+    rng = random.Random(2301)
+    for _ in range(500):
+        tree = random_downward_tree(rng, rng.randint(2, 24))
+        a = tree_assignment(tree, rng.choice((2, 3)), {v: rng.randint(0, 2) for v in tree.sinks()})
+        assert _same_witness(tree, build(tree, a)), (tree.edges, a.counts)
+
+
+def test_the_row_search_matches_the_named_search_where_counts_match():
+    g = _forked_stem()
+    two_sources = OrientedGraph(["v0", "v1", "v2", "v3"], [("v1", "v2"), ("v1", "v3"), ("v2", "v3")])
+    cases = [(g, Assignment(g, {"r": 4})), (g, Assignment(g, {"r": 2, "m": 1, "y": 1}))]
+    cases += [(two_sources, Assignment(two_sources, {"v1": top, "v2": 1})) for top in (2, 3)]
+    for graph, a in cases:
+        ag = build(graph, a)
+        assert (len(ag.states), len(ag.edges)) == (len(graph.vertices), len(graph.edges))
+        assert _same_witness(graph, ag), a.counts
+    assert [built_isomorphism(graph, build(graph, a)) is None for graph, a in cases] == [True, False, True, True]
+
+
+def test_the_row_search_matches_the_named_search_on_path_products():
+    options = [(n, sp) for n in (2, 3, 4) for sp in (2, 3)]
+    for r in (1, 2, 3):
+        for factors in combinations_with_replacement(options, r):
+            paths = [oriented_path(n) for n, _ in factors]
+            g, a = product_assignment([(p, simple_assignment(p, sp)) for p, (_, sp) in zip(paths, factors)])
+            ag = build(g, a)
+            assert built_isomorphism(g, ag) is not None, factors
+            assert _same_witness(g, ag), factors
+
+
+@pytest.mark.parametrize("corrupt", ["swap", "repeat"])
+def test_a_corrupted_row_witness_is_refused(monkeypatch, corrupt):
+    real = iso._isomorphisms
+
+    def corrupted(*args, **kwargs):
+        image = real(*args, **kwargs)[0]
+        if corrupt == "swap":
+            image[0], image[-1] = image[-1], image[0]
+        else:
+            image[-1] = image[0]
+        return [image]
+
+    monkeypatch.setattr(iso, "_isomorphisms", corrupted)
+    tree = star_tree(3)
+    ag = build(tree, tree_assignment(tree, 2))
+    with pytest.raises(PebblabError, match="internal error: witness failed verification"):
+        built_isomorphism(tree, ag)
 
 
 def test_concurrent_callers_share_the_isomorphism_memo_safely():
