@@ -23,7 +23,6 @@ vector is built once, for both the isomorphism and full traversability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import merge
 from itertools import product
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
@@ -153,7 +152,7 @@ def _grandchild_in_degrees(
 def _candidates(
     g: OrientedGraph, cap: int, limit: float = float("inf")
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, count vector), in index order, of the capped assignments
+    """(index, count vector), pattern by pattern, of the capped assignments
     that pass three tests an isomorphism onto the state graph forces.  An
     assignment holds the `iter_count_vectors` entries on the non-sink
     vertices, in vertex order, and 0 on every sink, and has that entry's
@@ -177,14 +176,14 @@ def _candidates(
     Within a heavy set both level tests read only whether each heavy vertex
     holds 2..3 or 4..cap pebbles and whether each light non-sink that a
     heavy vertex points to holds 0 or 1.  Each such pattern is decided once,
-    and each one that passes yields its vectors: 0..min(cap, 1) on the other
-    non-sinks and 0 on the sinks.  The patterns' vectors are merged by
-    index.  All those below ``limit`` come first: entry c at free position k
-    adds c (cap+1)^k to the index, so a position where (cap+1)^k reaches
-    ``limit`` is held at 0, and one where 2 (cap+1)^k does at 0 or 1."""
+    and each one that passes yields its vectors below ``limit`` in index
+    order: 0..min(cap, 1) on the other non-sinks and 0 on the sinks.  Entry
+    c at free position k adds c (cap+1)^k to the index, so a position where
+    (cap+1)^k reaches ``limit`` is held at 0, and one where 2 (cap+1)^k does
+    at 0 or 1."""
     root = g.graded_root()
     if root is None:
-        return iter(())
+        return
     valences = g.valences()
     free = [i for i, d in enumerate(valences) if d]
     free = free[: sum((cap + 1) ** k < limit for k in range(len(free)))]
@@ -197,7 +196,6 @@ def _candidates(
     moves, wanted = valences[r], sorted(valences[w] for w in out[r])
     wanted2 = None  # g's level-2 in-degrees, once some pattern passes level 1
     light, low, high = range(min(cap, 1) + 1), range(2, min(cap, 3) + 1), range(4, cap + 1)
-    streams = []
     nonzero = set(free)
     for chosen in _heavy_sets([valences[i] for i in can_move], moves):
         heavy = {can_move[k] for k in chosen}
@@ -228,25 +226,23 @@ def _candidates(
             # that passed level 1 has no grandchild.
             if wanted2 and _grandchild_in_degrees(out, keys, ranges, heavy, heavy | targets) != wanted2:
                 continue
-            # The last vertex varies slowest, so each stream runs in index order.
-            vectors = map(_lowest_first, product(*reversed(ranges)))
-            streams.append((sum(map(mul, c, weights)), c) for c in vectors)
-    return merge(*streams)
+            # The last vertex varies slowest, so the pattern runs in index order.
+            for c in map(_lowest_first, product(*reversed(ranges))):
+                idx = sum(map(mul, c, weights))
+                if idx >= limit:
+                    break
+                yield idx, c
 
 
-def _scan_hits(graphs: list[tuple[int, OrientedGraph]], pebble_cap: int) -> list[Hit]:
-    """The hits of the assignments of each (graph position, graph): (graph
-    position, index, full count vector, fully_traversable) for every
-    assignment whose state graph is isomorphic to its graph.  Only the
-    `_candidates`, which pass the pair test's exits, are visited, each
-    built once by `_built_witness`."""
-    hits: list[Hit] = []
-    for pos, g in graphs:
-        for idx, counts in _candidates(g, pebble_cap):
-            found = _built_witness(g, Assignment(g, counts))
-            if found:
-                hits.append((pos, idx, counts, found[0].is_fully_traversable()))
-    return hits
+def _hits(
+    g: OrientedGraph, cap: int, limit: float = float("inf")
+) -> Iterator[tuple[int, tuple[int, ...], AssignmentGraph, IsoMapping]]:
+    """(index, count vector, state graph, witness) per `_candidates` entry
+    below ``limit`` that `_built_witness` finds isomorphic, pattern by pattern."""
+    for idx, counts in _candidates(g, cap, limit):
+        found = _built_witness(g, Assignment(g, counts))
+        if found:
+            yield idx, counts, *found
 
 
 def _box_size(g: OrientedGraph, pebble_cap: int) -> int:
@@ -259,8 +255,23 @@ def scan_graph_assignments(graphs: list[OrientedGraph], pebble_cap: int) -> tupl
     (graph position, index) order and the number of box indices covered.
     Only the graphs with a graded root, which alone can hit, are scanned."""
     _check_cap(pebble_cap)
-    graded = [(pos, g) for pos, g in enumerate(graphs) if g.graded_root() is not None]
-    return _scan_hits(graded, pebble_cap), sum(_box_size(g, pebble_cap) for g in graphs)
+    # (graph position, index) is unique, so the sort never compares further.
+    hits = sorted(
+        (pos, idx, counts, ag.is_fully_traversable())
+        for pos, g in enumerate(graphs) if g.graded_root() is not None
+        for idx, counts, ag, _ in _hits(g, pebble_cap)
+    )
+    return hits, sum(_box_size(g, pebble_cap) for g in graphs)
+
+
+def _orbit_minima(
+    g: OrientedGraph, vectors: list[tuple[int, ...]], order: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Per vector of counts in vertex order, the least of its images under
+    ``g``'s automorphisms, each read at the vertex indices ``order``."""
+    images = [[g.index(w) for _, w in m.pairs] for m in automorphisms(g)]
+    reads = [[image[i] for i in order] for image in images]
+    return [min(tuple(vec[j] for j in read) for read in reads) for vec in vectors]
 
 
 def reduce_modulo_automorphisms(
@@ -270,15 +281,7 @@ def reduce_modulo_automorphisms(
     orbit, in first-seen order."""
     if not vectors:
         return []
-    perms = [tuple(g.index(w) for _, w in m.pairs) for m in automorphisms(g)]
-    seen: set[tuple[int, ...]] = set()
-    kept: list[tuple[int, ...]] = []
-    for vec in vectors:
-        rep = min(tuple(vec[p[i]] for i in range(len(vec))) for p in perms)
-        if rep not in seen:
-            seen.add(rep)
-            kept.append(rep)
-    return kept
+    return list(dict.fromkeys(_orbit_minima(g, vectors, range(len(g.vertices)))))
 
 
 def canonical_pair_key(
@@ -287,14 +290,7 @@ def canonical_pair_key(
     """A key equal across (graph, assignment) pairs exactly when some
     digraph isomorphism carries one assignment to the other."""
     form, order_names = canonical_labeling(g)
-    by_name = dict(zip(g.vertices, counts))
-    best = None
-    for m in automorphisms(g):
-        mapping = m.mapping
-        vec = tuple(by_name[mapping[name]] for name in order_names)
-        if best is None or vec < best:
-            best = vec
-    return form, best if best is not None else ()
+    return form, _orbit_minima(g, [counts], list(map(g.index, order_names)))[0]
 
 
 @dataclass(frozen=True)

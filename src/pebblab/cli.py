@@ -6,9 +6,9 @@ claim checker by id), and ``search`` (scan small graphs and assignments for
 pairs isomorphic to their state graph).
 
 Exit codes: 0 for success / holds / hypothesis-not-met, 1 for not
-isomorphic or counterexample, 2 for parse and usage errors, 3 for exceeded
-budgets.  All stdout output is byte-stable given the same inputs, flags,
-and seed; timings go to stderr.
+isomorphic or counterexample, 2 for parse and usage errors and paths that
+cannot be read or written, 3 for exceeded budgets.  All stdout output is
+byte-stable given the same inputs, flags, and seed; timings go to stderr.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PebblabError, FileNotFoundError) as exc:
+    except (PebblabError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

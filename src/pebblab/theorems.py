@@ -21,9 +21,8 @@ from .assignment_graph import DEFAULT_STATE_BUDGET, AssignmentGraph, build, find
 from .classify import (
     ClassificationResult,
     _box_size,
-    _built_witness,
-    _candidates,
     _check_cap,
+    _hits,
     built_isomorphism,
     canonical_pair_key,
     classify_downward_4_cycle,
@@ -535,6 +534,24 @@ def _aggregate(claim: str, instance: str, reports: list[VerificationReport], par
     return report
 
 
+def _product_report(
+    claim: str, instance: str, factors: list[tuple[OrientedGraph, Assignment]], params: dict
+) -> VerificationReport:
+    """Whether the product of the pebbled ``factors`` is isomorphic to its
+    state graph, with the witness, the product's size and its text."""
+    g, a = product_assignment(factors)
+    iso = state_graph_isomorphism(g, a)
+    return VerificationReport(
+        claim,
+        instance,
+        HOLDS if iso is not None else COUNTEREXAMPLE,
+        witness=iso.to_json_obj() if iso else None,
+        stats={"vertices": len(g.vertices), "edges": len(g.edges)},
+        instance_text=format_assignment(a),
+        params=params,
+    )
+
+
 def verify_thm_7_1(
     lengths: list[int],
     source_pebbles: list[int],
@@ -552,19 +569,11 @@ def verify_thm_7_1(
     for n, sp, sk in zip(lengths, source_pebbles, sinks):
         path = oriented_path(n)
         factors.append((path, simple_assignment(path, sp, sk)))
-    g, a = product_assignment(factors)
-    iso = state_graph_isomorphism(g, a)
-    stats = {"vertices": len(g.vertices), "edges": len(g.edges)}
-    params = {"lengths": list(lengths), "pebbles": list(source_pebbles), "sinks": list(sinks)}
-    verdict = HOLDS if iso is not None else COUNTEREXAMPLE
-    return VerificationReport(
+    return _product_report(
         "thm-7.1",
         "product of paths " + " x ".join(f"P{n}({sp})" for n, sp in zip(lengths, source_pebbles)),
-        verdict,
-        witness=iso.to_json_obj() if iso else None,
-        stats=stats,
-        instance_text=format_assignment(a),
-        params=params,
+        factors,
+        {"lengths": list(lengths), "pebbles": list(source_pebbles), "sinks": list(sinks)},
     )
 
 
@@ -708,17 +717,7 @@ def verify_cor_7_1(
             stats={"factor_isomorphic": gates},
             params=params,
         )
-    g, a = product_assignment(factors)
-    iso = state_graph_isomorphism(g, a)
-    return VerificationReport(
-        "cor-7.1",
-        f"product of {len(factors)} pebbled paths",
-        HOLDS if iso is not None else COUNTEREXAMPLE,
-        witness=iso.to_json_obj() if iso else None,
-        stats={"vertices": len(g.vertices), "edges": len(g.edges)},
-        instance_text=format_assignment(a),
-        params=params,
-    )
+    return _product_report("cor-7.1", f"product of {len(factors)} pebbled paths", factors, params)
 
 
 def verify_thm_7_2(
@@ -733,9 +732,10 @@ def verify_thm_7_2(
     two or three pebbles per source, then (a) find the bipartite pattern as
     an oriented subgraph of it and (b) search bounded assignments making it
     isomorphic to its own state graph.  ``search_budget`` bounds the
-    subgraph search's candidates and the assignment indices covered, of
-    which only the `_candidates` are generated and built: the construction
-    is graded, and every other assignment fails the pair test's exits.
+    subgraph search's candidates and the assignment indices covered.  Of
+    those, only the `classify._candidates` are built, since the construction
+    is graded and every other assignment fails the pair test's exits, and
+    the hit with the least index is reported.
 
     The assignment search is best effort: exhausting the cap without a
     finding is reported as budget-exceeded, not as a refutation.
@@ -763,19 +763,17 @@ def verify_thm_7_2(
     if submap is None:
         notes = ("the bipartite pattern does not occur as an oriented subgraph",)
         return report(COUNTEREXAMPLE, stats=stats, notes=notes)
-    for idx, counts in _candidates(g, search_cap, limit=search_budget):
-        if idx >= search_budget:
-            break
+    found = min(_hits(g, search_cap, search_budget), key=lambda hit: hit[0], default=None)
+    if found:
+        idx, counts, _, iso = found
         candidate = Assignment(g, counts)
-        found = _built_witness(g, candidate)
-        if found:
-            stats["assignments_scanned"] = idx + 1
-            witness = {
-                "subgraph": submap.mapping,
-                "assignment": candidate.as_dict(),
-                "isomorphism": found[1].to_json_obj()["map"],
-            }
-            return report(HOLDS, witness=witness, stats=stats, instance_text=format_assignment(candidate))
+        stats["assignments_scanned"] = idx + 1
+        witness = {
+            "subgraph": submap.mapping,
+            "assignment": candidate.as_dict(),
+            "isomorphism": iso.to_json_obj()["map"],
+        }
+        return report(HOLDS, witness=witness, stats=stats, instance_text=format_assignment(candidate))
     box = _box_size(g, search_cap)
     if box > search_budget:
         stats.update(assignments_scanned=search_budget, search_budget=search_budget)

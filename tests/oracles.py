@@ -54,9 +54,9 @@ counted the initial legal moves by listing them;
 ``reference_scan`` is the earlier box scan: every capped assignment, in
 index order, through ``classify.state_graph_isomorphism``,
 with a second build of each hit's state graph for its full traversability.
-``classify._scan_hits``, which visits only the heavy-set vectors of graded
-classes and builds each once, must return the same hits, and
-``classify.scan_graph_assignments`` also the same count.
+``classify.scan_graph_assignments``, which visits only the heavy-set vectors
+of graded classes and builds each once, must return the same hits and the
+same count.
 ``reference_scan_movers`` lists the box vectors that an isomorphism onto
 the state graph does not yet rule out at the root's first two levels:
 graded root by ``reference_graded_root``, listed legal moves as many as the
@@ -65,14 +65,15 @@ legal moves whose multiset equals that of the valences of the root's
 out-neighbours, and the children's children, made the same way, with
 parent counts whose multiset equals that of the in-degrees of the vertices
 at ``_source_distances`` level 2.  They are exactly the vectors that
-``_scan_hits`` builds, once each, in the same order.
+``scan_graph_assignments`` builds, once each.
 
 ``reference_thm_7_2_scan`` is the earlier thm-7.2 check, whose assignment
 search walked the whole box in index order, stopping when ``search_budget``
 assignments had been tried; it hands ``classify.state_graph_isomorphism``
 every vector whose legal moves, counted directly, number the root's valence.
-``theorems.verify_thm_7_2``, which tries only the ``classify._candidates``
-among the first ``search_budget`` box indices, must return the same report.
+``theorems.verify_thm_7_2``, which builds only the ``classify._candidates``
+among the first ``search_budget`` box indices and reports the least-index
+hit, must return the same report.
 
 ``reference_built_isomorphism`` is the earlier direct test of a graph
 against its built state graph, which named every state before comparing any

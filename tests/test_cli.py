@@ -445,6 +445,28 @@ def test_verify_usage_errors_exit_2(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["build", "{dir}"], id="input-is-a-directory"),
+        pytest.param(["build", "{latin1}"], id="input-is-not-utf-8"),
+        pytest.param(["verify", "thm-5.1", "--input", "{latin1}"], id="verify-input-is-not-utf-8"),
+        pytest.param(["verify", "thm-3.1", "--k", "6", "--output", "{dir}"], id="output-is-a-directory"),
+        pytest.param(["build", "{cycle}", "--dot", "{dir}"], id="dot-is-a-directory"),
+        pytest.param(["build", "{cycle}", "--json", "{dir}"], id="json-is-a-directory"),
+    ],
+)
+def test_a_path_that_cannot_be_read_or_written_is_a_usage_error(tmp_path, capsys, instance_file, argv):
+    # Exit 1 means "not isomorphic" or "counterexample", so an unusable path
+    # must exit 2 with a one-line error, not end in a traceback.
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("v caf\u00e9 2\n".encode("latin-1"))
+    paths = {"dir": str(tmp_path), "latin1": str(latin1), "cycle": instance_file}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_thm_7_2_checks_its_search_cap_before_any_build(capsys, monkeypatch):
     from pebblab import theorems
 

@@ -531,6 +531,26 @@ def test_thm_7_2_matches_the_box_scan():
     assert verify_thm_7_2(2, 2, 2, 1, search_budget=32).notes[0].startswith("no isomorphic assignment")
 
 
+def test_thm_7_2_reports_the_least_index_hit_whatever_the_walk_order(monkeypatch):
+    # The walk yields its hits pattern by pattern, not in index order.  Fed
+    # the real hits in reverse, so that a later index comes first, thm-7.2
+    # must still report the same least-index hit.
+    real = theorems._hits
+    walked = []
+
+    def reversed_walk(*args):
+        walked[:] = real(*args)
+        return reversed(walked)
+
+    for n, m in ((2, 2), (2, 3), (3, 1)):
+        want = verify_thm_7_2(n, m).to_json_obj()
+        monkeypatch.setattr(theorems, "_hits", reversed_walk)
+        got = verify_thm_7_2(n, m).to_json_obj()
+        monkeypatch.setattr(theorems, "_hits", real)
+        assert walked[-1][0] > min(hit[0] for hit in walked), (n, m)
+        assert want["verdict"] == HOLDS and got == want, (n, m)
+
+
 def test_thm_7_2_search_budget_bounds_the_candidates_generated(monkeypatch):
     # K(10,1)'s construction has 1,024 states, 1,023 of them non-sinks, and
     # the subgraph search fits in a budget of 20,000.  A heavy vertex at free
@@ -605,7 +625,8 @@ def test_pruned_scan_matches_the_box_scan(monkeypatch):
     # 3, and the downward 6- and 8-cycles at caps up to 5 and 3.  The scan
     # builds exactly the box vectors that pass the root-degree, level-1
     # out-degree and level-2 in-degree tests, each once, so a dropped, an
-    # extra or a repeated build fails even when it is not a hit.
+    # extra or a repeated build fails even when it is not a hit.  It builds
+    # them pattern by pattern and sorts its hits, so the hits pin the order.
     real = classify.build
     for graphs, cap in _scan_cases():
         position = {id(g): pos for pos, g in enumerate(graphs)}
@@ -616,12 +637,10 @@ def test_pruned_scan_matches_the_box_scan(monkeypatch):
             return real(g, a, **kwargs)
 
         monkeypatch.setattr(classify, "build", recording)
-        got = classify._scan_hits(list(enumerate(graphs)), cap)
+        got = classify.scan_graph_assignments(graphs, cap)
         monkeypatch.setattr(classify, "build", real)
-        want = reference_scan(graphs, cap)
-        assert got == want[0], cap
-        assert built == reference_scan_movers(graphs, cap), cap
-        assert classify.scan_graph_assignments(graphs, cap) == want, cap
+        assert got == reference_scan(graphs, cap), cap
+        assert sorted(built) == sorted(reference_scan_movers(graphs, cap)), cap
 
 
 def test_five_vertex_search_at_cap_3_is_frozen():
