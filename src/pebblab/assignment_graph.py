@@ -112,20 +112,16 @@ class _Layout:
         return tuple((s >> (i * width)) & mask for i in range(n))
 
 
-# The layout of the last graph built.  Scans build one graph under many
-# assignments; one entry makes those repeats free without keeping older
-# graphs alive.  The entry is replaced whole and a layout's move table only
-# gains entries that any thread would compute identically, so builds stay
-# pure and thread-safe.
-_last_layout: _Layout | None = None
-
-
-def _layout(graph: OrientedGraph, width: int) -> _Layout:
-    global _last_layout
-    layout = _last_layout
-    if layout is None or layout.graph is not graph or layout.width != width:
-        layout = _last_layout = _Layout(graph, width)
-    return layout
+# The last build: (layout, counts, state graph or None).  Scans build one
+# graph under many assignments; the layout makes those repeats cheap
+# without keeping older graphs alive.  The state graph is kept only when it
+# has at most |V(graph)| states, the only ones that can be isomorphic to
+# the graph, so a second claim checked on the same graph object and counts
+# reuses it and the entry stays graph-sized.  The layout does not point
+# back to the state graph, so no cycle forms.  The entry is replaced whole
+# and a layout's move table only gains entries that any thread would
+# compute identically, so builds stay pure and thread-safe.
+_last_layout: tuple[_Layout, tuple[int, ...], AssignmentGraph | None] | None = None
 
 
 class _View(Sequence):
@@ -342,16 +338,29 @@ def build(
     edge list are deterministic.  Every move lowers the pebble total by one,
     so breadth-first order is level order and the dedup map holds one level
     at a time.  Raises StateBudgetExceededError instead of returning a
-    truncated graph.
+    truncated graph.  A repeat of the last build's graph object and counts
+    returns the same state graph when it was kept (see ``_last_layout``).
     """
+    global _last_layout
     if start.graph is not graph and start.graph != graph:
         raise ValueError("assignment is bound to a different graph")
     if state_budget < 1:
         raise ValueError("state budget must be at least 1")
 
-    layout = _layout(graph, _field_width(sum(start.counts)))
+    counts = start.counts
+    width = _field_width(sum(counts))
+    last = _last_layout
+    if last is not None and last[0].graph is graph and last[0].width == width:
+        layout, last_counts, stored = last
+        if stored is not None and last_counts == counts:
+            if len(stored.packed) > state_budget:
+                raise StateBudgetExceededError(state_budget)
+            return stored
+    else:
+        layout = _Layout(graph, width)
+    _last_layout = (layout, counts, None)
     add, movable, table, moves = layout.add2, layout.movable, layout.table, layout.moves
-    packed = [layout.pack(start.counts)]
+    packed = [layout.pack(counts)]
     levels = [0]
     offsets = array("I", [0])
     targets = array("I")
@@ -384,7 +393,10 @@ def build(
         packed += seen
         levels.append(end)
         begin = end
-    return AssignmentGraph(layout, packed, levels, offsets, targets, labels)
+    ag = AssignmentGraph(layout, packed, levels, offsets, targets, labels)
+    if len(packed) <= len(graph.vertices):
+        _last_layout = (layout, counts, ag)
+    return ag
 
 
 def find_downward_4_cycle(g: OrientedGraph) -> tuple[str, str, str, str] | None:

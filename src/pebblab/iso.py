@@ -18,10 +18,11 @@ of h).  Each is re-verified by ``verify_mapping`` before it is returned;
 ``isomorphism_onto_rows``, which names no target graph, rechecks its
 directed witness in index form instead.
 
-Color refinement (``_refine``) ranks each vertex's (color, sorted out-neighbor
-colors, sorted in-neighbor colors) signature and stops in the first round in
-which the number of color classes does not grow.  That round's ranks are the
-input colors densely relabelled, so dense stable input comes back unchanged.
+Color refinement (``_refine``) densely relabels its input colors, then ranks
+each vertex's (color, sorted out-neighbor colors, sorted in-neighbor colors)
+signature until a round adds no color class.  That round would only rank the
+colors it read, so it returns them without ranking, and dense stable input
+comes back unchanged.  Lists of at most one neighbor skip the sort.
 
 ``canonical_labeling`` maps into no target graph, so it has its own search,
 ``_least_order``, which also keys enumeration in ``generate``: the ordering
@@ -88,27 +89,36 @@ def _shadow_adj(g: OrientedGraph) -> list[set[int]]:
     return adj
 
 
-def _refine(out_adj, in_adj, colors: list[int]) -> list[int]:
+def _refine(out_adj, in_adj, colors: list) -> list[int]:
     """Iterate neighborhood-multiset refinement to a fixpoint.
 
     Colors are ranks of structure-determined signatures, so they are
     invariant under relabeling and comparable across graphs refined in one
-    combined universe.  A signature starts with the vertex's own color, so
-    each round refines the last one and its ranks keep the old color order;
-    the first round that adds no class returns its ranks, which are then
-    the input colors densely relabelled.
+    combined universe.  The input colors are first densely relabelled.  A
+    signature starts with the vertex's own color, so each round refines the
+    last one and its ranks keep the old color order; a round that adds no
+    class would rank its signatures as the dense colors it read, so it
+    returns those unranked.  A neighbor list of at most one color is
+    already sorted.
     """
-    classes = len(set(colors))
+    ranks = {c: r for r, c in enumerate(sorted(set(colors)))}
+    colors = [ranks[c] for c in colors]
+    classes = len(ranks)
     while True:
         color = colors.__getitem__
         sigs = [
-            (c, tuple(sorted(map(color, out))), tuple(sorted(map(color, inn))))
+            (
+                c,
+                tuple(sorted(map(color, out)) if len(out) > 1 else map(color, out)),
+                tuple(sorted(map(color, inn)) if len(inn) > 1 else map(color, inn)),
+            )
             for c, out, inn in zip(colors, out_adj, in_adj)
         ]
-        ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        colors = [ranks[s] for s in sigs]
-        if len(ranks) == classes:
+        distinct = set(sigs)
+        if len(distinct) == classes:
             return colors
+        ranks = {s: r for r, s in enumerate(sorted(distinct))}
+        colors = [ranks[s] for s in sigs]
         classes = len(ranks)
 
 
@@ -118,13 +128,13 @@ def _joint_colors(
     h_out: list[set[int]],
     h_in: list[set[int]],
 ) -> tuple[list[int], list[int]]:
-    """Refine both graphs in one universe so colors match across them."""
+    """Refine both graphs in one universe so colors match across them,
+    starting from (out-degree, in-degree)."""
     n = len(g_out)
-    out = [tuple(s) for s in g_out] + [tuple(w + n for w in s) for s in h_out]
-    inn = [tuple(s) for s in g_in] + [tuple(w + n for w in s) for s in h_in]
-    degrees = [(len(out[v]), len(inn[v])) for v in range(len(out))]
-    ranks = {d: r for r, d in enumerate(sorted(set(degrees)))}
-    colors = _refine(out, inn, [ranks[d] for d in degrees])
+    shift = n.__add__
+    out = g_out + [tuple(map(shift, s)) for s in h_out]
+    inn = g_in + [tuple(map(shift, s)) for s in h_in]
+    colors = _refine(out, inn, list(zip(map(len, out), map(len, inn))))
     return colors[:n], colors[n:]
 
 
@@ -212,7 +222,7 @@ def _backtrack(
 def _isomorphisms(g_out, g_in, h_out, h_in, want_all: bool) -> list[list[int]]:
     """Isomorphisms with every vertex confined to its jointly refined color."""
     gcols, hcols = _joint_colors(g_out, g_in, h_out, h_in)
-    if Counter(gcols) != Counter(hcols):
+    if sorted(gcols) != sorted(hcols):
         return []
     by_color: dict[int, list[int]] = {}
     for x, c in enumerate(hcols):

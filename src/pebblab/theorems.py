@@ -30,7 +30,7 @@ from .classify import (
     search_isomorphic_pairs,
     state_graph_isomorphism,
 )
-from .errors import BudgetExceededError, EmbeddingNotFoundError, GraphError, UnknownClaimError
+from .errors import AssignmentError, BudgetExceededError, EmbeddingNotFoundError, GraphError, UnknownClaimError
 from .generate import enumerate_downward_trees, random_downward_tree
 from .graphs import OrientedGraph, downward_cycle, oriented_complete_bipartite, oriented_path
 # digraph_isomorphic is not called here, but perfbench's tracer patches it here.
@@ -447,6 +447,8 @@ def verify_thm_5_1_batch(
         raise GraphError(f"tree count must be at least 1, got {trees}")
     if max_vertices < 2:
         raise GraphError(f"max vertices must be at least 2, got {max_vertices}")
+    if leaf_cap < 0:
+        raise AssignmentError(f"leaf cap must be non-negative, got {leaf_cap}")
     rng = random.Random(seed)
     states_total = 0
     for i in range(trees):

@@ -14,9 +14,11 @@ from pebblab import (
     downward_cycle,
     find_downward_4_cycle,
     oriented_path,
+    random_downward_tree,
     simple_assignment,
     tree_assignment,
 )
+from pebblab import assignment_graph, theorems
 from pebblab.generate import random_assignment, random_oriented_graph
 from conftest import corpus_instances, corpus_small_graphs
 from oracles import brute_downward_4_cycles, naive_state_space, reference_build
@@ -381,18 +383,9 @@ def test_successor_reads_the_move_rows():
             assert ag.successor(sid, e) == moves.get(e)
 
 
-def test_concurrent_builds_share_the_layout_memo_safely():
-    # Threads building two graphs in turn keep replacing the one-entry
-    # layout memo and filling the same move tables; every build must still
-    # equal the reference.
-    rng = random.Random(5)
-    jobs = []
-    for _ in range(2):
-        g = random_oriented_graph(rng, 6, 0.5)
-        for _ in range(4):
-            a = random_assignment(rng, g, 5)
-            want = reference_build(g, a)
-            jobs.append((g, a, want.states, want.edges))
+def _build_concurrently(jobs) -> list[str]:
+    """Six threads build the jobs in turn with a tiny switch interval;
+    the jobs whose build differs from its (states, edges)."""
     failures: list[str] = []
 
     def worker(offset: int) -> None:
@@ -413,4 +406,114 @@ def test_concurrent_builds_share_the_layout_memo_safely():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert failures == []
+    return failures
+
+
+def test_concurrent_builds_share_the_layout_memo_safely():
+    # Threads building two graphs in turn keep replacing the one-entry
+    # layout memo and filling the same move tables; every build must still
+    # equal the reference.
+    rng = random.Random(5)
+    jobs = []
+    for _ in range(2):
+        g = random_oriented_graph(rng, 6, 0.5)
+        for _ in range(4):
+            a = random_assignment(rng, g, 5)
+            want = reference_build(g, a)
+            jobs.append((g, a, want.states, want.edges))
+    assert _build_concurrently(jobs) == []
+
+
+def test_concurrent_builds_share_kept_state_graphs_safely():
+    # Tree builds with at most |V| states are kept in the entry and handed
+    # back on a repeat; threads interleaving two trees must still get each
+    # tree's own state graph.
+    rng = random.Random(6)
+    jobs = []
+    for _ in range(2):
+        tree = random_downward_tree(rng, 9)
+        for root in (2, 3):
+            a = tree_assignment(tree, root, {v: rng.randint(0, 3) for v in tree.sinks()})
+            want = reference_build(tree, a)
+            assert len(want.states) == len(tree.vertices)
+            jobs.append((tree, a, want.states, want.edges))
+    assert _build_concurrently(jobs) == []
+
+
+def _tree_instance(seed: int = 7):
+    rng = random.Random(seed)
+    tree = random_downward_tree(rng, 10)
+    a = tree_assignment(tree, 3, {v: rng.randint(0, 5) for v in tree.sinks()})
+    return tree, a
+
+
+def _copy(g: OrientedGraph, a: Assignment) -> tuple[OrientedGraph, Assignment]:
+    twin = OrientedGraph(g.vertices, g.edges)
+    return twin, Assignment(twin, a.counts)
+
+
+def test_a_repeat_build_returns_the_kept_state_graph():
+    tree, a = _tree_instance()
+    ag = build(tree, a)
+    assert len(ag.states) == len(tree.vertices)
+    assert build(tree, Assignment(tree, a.counts)) is ag
+    twin, b = _copy(tree, a)
+    fresh = build(twin, b)
+    assert fresh is not ag
+    assert ag.packed == fresh.packed and ag.levels == fresh.levels
+    for row in ("offsets", "targets", "labels"):
+        assert getattr(ag, row).tobytes() == getattr(fresh, row).tobytes()
+    assert ag.states == reference_build(tree, a).states
+
+
+def test_thm_5_1_then_prop_1_1_builds_one_tree_once(monkeypatch):
+    made = []
+    real = assignment_graph.AssignmentGraph
+
+    def counting(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(assignment_graph, "AssignmentGraph", counting)
+    tree, a = _tree_instance()
+    leaves = {v: a.counts[tree.index(v)] for v in tree.sinks()}
+    assert theorems.verify_thm_5_1(tree, 3, leaves).verdict == theorems.HOLDS
+    assert theorems.verify_prop_1_1(tree, tree_assignment(tree, 3, leaves)).verdict == theorems.HOLDS
+    assert len(made) == 1
+    twin, b = _copy(tree, a)
+    assert theorems.verify_prop_1_1(twin, b).verdict == theorems.HOLDS
+    assert len(made) == 2
+
+
+def test_a_kept_state_graph_keeps_the_state_budget_edge():
+    tree, a = _tree_instance()
+    ag = build(tree, a)
+    states = len(ag.states)
+    with pytest.raises(StateBudgetExceededError) as caught:
+        build(tree, a, state_budget=states - 1)
+    assert caught.value.budget == states - 1
+    assert build(tree, a, state_budget=states) is ag
+
+
+def test_a_build_past_the_vertex_count_keeps_no_state_graph():
+    tree, a = _tree_instance()
+    ag = build(tree, a)
+    assert assignment_graph._last_layout[2] is ag
+    heavy = Assignment(tree, {v: 4 for v in tree.vertices})
+    assert len(build(tree, heavy).states) > len(tree.vertices)
+    assert assignment_graph._last_layout[2] is None
+    again = build(tree, a)
+    assert again is not ag and again.packed == ag.packed
+    with pytest.raises(StateBudgetExceededError):
+        build(tree, heavy, state_budget=len(tree.vertices))
+    assert assignment_graph._last_layout[2] is None
+
+
+def test_argument_errors_come_before_the_kept_state_graph():
+    tree, a = _tree_instance()
+    build(tree, a)
+    with pytest.raises(ValueError, match="at least 1"):
+        build(tree, a, state_budget=0)
+    other = OrientedGraph(tree.vertices, tree.edges[1:])
+    with pytest.raises(ValueError, match="different graph"):
+        build(tree, Assignment(other, a.counts))

@@ -111,6 +111,35 @@ def test_refine_returns_the_reference_lists_on_arbitrary_colors():
         assert _refine(out, inn, colors) == reference_refine(out, inn, colors)
 
 
+def test_refine_returns_stable_input_densely_relabelled():
+    """A star and a directed 3-cycle whose input colors are already stable
+    but not dense: the first round adds no class and returns the input
+    ranked, in the input's color order."""
+    out = [{1, 2, 3}, set(), set(), set(), {5}, {6}, {4}]
+    inn = [set(), {0}, {0}, {0}, {6}, {4}, {5}]
+    for colors, expected in (
+        ([7, 3, 3, 3, 5, 5, 5], [2, 0, 0, 0, 1, 1, 1]),
+        ([3, 40, 40, 40, -1, -1, -1], [1, 2, 2, 2, 0, 0, 0]),
+    ):
+        assert reference_refine(out, inn, colors) == expected
+        assert _refine(out, inn, colors) == expected
+
+
+def test_refine_reads_sets_and_tuples_of_every_length_alike():
+    """Neighbor lists of 0, 1 and 2 vertices, as tuples and as sets.  Each
+    half mirrors the other with its lists of two reversed (0 -> 1, 2 against
+    4 -> 6, 5 and 8 <- 9, 10 against 12 <- 14, 13), so only sorting those
+    lists keeps the mirror images in one class."""
+    out_tuples = [(1, 2), (), (3,), (), (6, 5), (), (7,), (), (), (8,), (8,), (10,), (), (12,), (12,), (14,)]
+    in_tuples = [(), (0,), (0,), (2,), (), (4,), (4,), (6,), (9, 10), (), (11,), (), (14, 13), (), (15,), ()]
+    expected = [7, 1, 5, 0, 7, 1, 5, 0, 2, 3, 6, 4, 2, 3, 6, 4]
+    out, inn = [set(t) for t in out_tuples], [set(t) for t in in_tuples]
+    colors = [0] * 16
+    assert reference_refine(out, inn, colors) == expected
+    assert _refine(out, inn, colors) == expected
+    assert _refine(out_tuples, in_tuples, colors) == expected
+
+
 def test_variable_order_returns_the_reference_order():
     rng = random.Random(25)
     for g, h in _pairs():

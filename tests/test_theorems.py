@@ -396,6 +396,16 @@ def test_thm_5_1_random_tree():
     assert verify_thm_5_1(tree, 2, leaves).verdict == HOLDS
 
 
+def test_thm_5_1_batch_rejects_a_negative_leaf_cap_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(theorems, "random_downward_tree", lambda *args: drawn.append(args))
+    with pytest.raises(AssignmentError, match="leaf cap must be non-negative, got -1"):
+        verify_thm_5_1_batch(3, 5, 1, leaf_cap=-1)
+    assert drawn == []
+    monkeypatch.undo()
+    assert verify_thm_5_1_batch(3, 5, 1, leaf_cap=0).verdict == HOLDS
+
+
 # -- sec 6 --------------------------------------------------------------------
 
 
