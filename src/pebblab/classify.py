@@ -16,15 +16,28 @@ graph's level-2 vertices have.  An isomorphism maps the graded root to the
 root state and keeps the distance from it, out-degree and in-degree; both
 graphs are graded, so every in-edge of a level-2 state or vertex comes from
 level 1.  The vectors are generated heavy set by heavy set, one pattern of
-sub-ranges at a time.  The rest are counted, not visited.  Each visited
-vector is built once, for both the isomorphism and full traversability.
+sub-ranges at a time.  The rest are counted, not visited.
+
+Two facts, which follow from the definitions alone, let one build answer
+for many visited vectors; a build answers for both the isomorphism and full
+traversability.
+
+- Fact A (more pebbles).  Take a <= a' entrywise.  Every move sequence legal
+  from a is legal from a', and s -> s + (a' - a) maps a's states one to one
+  into those of a'.  So if a has more than |V| states, so does every a' >= a.
+- Fact B (unfed vertices).  Let U be non-sinks that hold 0 under a, and let
+  no move of a's state graph have its head in U.  A vertex holding 0 or 1
+  cannot move until it receives a pebble, so for every c in {0,1}^U the
+  state graph of a + c has a's states shifted by c and the same edge rows
+  (`offsets`, `targets`, `labels`): the same isomorphism verdict, witness
+  and full traversability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from operator import itemgetter, mul
+from operator import ge, itemgetter, mul
 from typing import Iterator, Sequence
 
 from .assignment_graph import AssignmentGraph, build
@@ -151,9 +164,10 @@ def _grandchild_in_degrees(
 
 def _candidates(
     g: OrientedGraph, cap: int, limit: float = float("inf")
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, count vector), pattern by pattern, of the capped assignments
-    that pass three tests an isomorphism onto the state graph forces.  An
+) -> Iterator[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """(index, count vector, undecided), pattern by pattern, of the capped
+    assignments that pass three tests an isomorphism onto the state graph
+    forces.  An
     assignment holds the `iter_count_vectors` entries on the non-sink
     vertices, in vertex order, and 0 on every sink, and has that entry's
     index.  It maps ``g``'s graded root to the root state, which has
@@ -177,10 +191,11 @@ def _candidates(
     holds 2..3 or 4..cap pebbles and whether each light non-sink that a
     heavy vertex points to holds 0 or 1.  Each such pattern is decided once,
     and each one that passes yields its vectors below ``limit`` in index
-    order: 0..min(cap, 1) on the other non-sinks and 0 on the sinks.  Entry
-    c at free position k adds c (cap+1)^k to the index, so a position where
-    (cap+1)^k reaches ``limit`` is held at 0, and one where 2 (cap+1)^k does
-    at 0 or 1."""
+    order, each with the same undecided (vertex, index weight) pairs: the
+    other non-sinks, held at 0 and free to hold 0..min(cap, 1), empty when
+    cap is 0.  Sinks hold 0.  Entry c at free position k adds c (cap+1)^k
+    to the index, so a position where (cap+1)^k reaches ``limit`` is held
+    at 0, and one where 2 (cap+1)^k does at 0 or 1."""
     root = g.graded_root()
     if root is None:
         return
@@ -206,9 +221,10 @@ def _candidates(
         options = [
             [(rng, loss, 0) for rng, loss in ((low, d), (high, 0)) if rng] if i in heavy
             else [((c,), 0, c * d) for c in light] if i in targets
-            else [(light if i in nonzero else (0,), 0, 0)]
+            else [((0,), 0, 0)]
             for i, d in enumerate(valences)
         ]
+        undecided = None
         for pattern in product(*options):
             children = sorted(moves - pattern[u][1] + pattern[w][2] for u in heavy for w in out[u])
             if children != wanted:
@@ -226,23 +242,74 @@ def _candidates(
             # that passed level 1 has no grandchild.
             if wanted2 and _grandchild_in_degrees(out, keys, ranges, heavy, heavy | targets) != wanted2:
                 continue
+            if undecided is None:
+                # Neither level test reads the light non-sinks that no heavy
+                # vertex points to, so each vector holds them at 0 and leaves
+                # them undecided.
+                undecided = tuple((i, weights[i]) for i in free if cap and i not in heavy and i not in targets)
             # The last vertex varies slowest, so the pattern runs in index order.
             for c in map(_lowest_first, product(*reversed(ranges))):
                 idx = sum(map(mul, c, weights))
                 if idx >= limit:
                     break
-                yield idx, c
+                yield idx, c, undecided
 
 
 def _hits(
     g: OrientedGraph, cap: int, limit: float = float("inf")
 ) -> Iterator[tuple[int, tuple[int, ...], AssignmentGraph, IsoMapping]]:
-    """(index, count vector, state graph, witness) per `_candidates` entry
-    below ``limit`` that `_built_witness` finds isomorphic, pattern by pattern."""
-    for idx, counts in _candidates(g, cap, limit):
-        found = _built_witness(g, Assignment(g, counts))
-        if found:
-            yield idx, counts, *found
+    """(index, count vector, state graph, witness) per capped vector below
+    ``limit`` that passes `_candidates`' tests and is isomorphic to its state
+    graph, in no set order.
+
+    Each `_candidates` vector is the base of a group: itself with 0 or 1 on
+    each undecided vertex.  A base is built with a budget of |V(g)| states.
+    If no move of its state graph feeds an undecided vertex, every vector
+    of the group has the same rows (Fact B), so a hit stands for the whole
+    group and each of its vectors is reported with the base's state graph
+    and witness.  Otherwise the fed vertices f_1..f_m split the group: 0 on
+    all of them stays with this build, and for each j, 1 on f_j and 0 on
+    f_1..f_(j-1) is a new base with f_(j+1)..f_m and the unfed vertices
+    undecided.  A base whose build passes the budget rules out its group,
+    and so does every later base that dominates it (Fact A).
+
+    A completion's hit carries its base's state graph, whose states are
+    not the completion's; the callers read only its full traversability
+    and the witness, which Fact B makes the completion's own."""
+    n = len(g.vertices)
+    heads = [g.index(w) for _, w in g.edges]
+    over: list[tuple[int, ...]] = []
+    for base in _candidates(g, cap, limit):
+        stack = [base]
+        while stack:
+            idx, counts, undecided = stack.pop()
+            if over and any(all(map(ge, counts, o)) for o in over):
+                continue
+            try:
+                ag = build(g, Assignment(g, counts), state_budget=n)
+            except StateBudgetExceededError:
+                over.append(counts)
+                continue
+            if undecided:
+                fed = {heads[e] for e in ag.labels}
+                split = [u for u in undecided if u[0] in fed]
+                if split:
+                    undecided = tuple(u for u in undecided if u[0] not in fed)
+                    for j, (v, w) in enumerate(split):
+                        if idx + w < limit:
+                            stack.append((idx + w, _set_one(counts, v), undecided + tuple(split[j + 1 :])))
+            iso = built_isomorphism(g, ag)
+            if iso is not None:
+                group = [(idx, counts)]
+                for v, w in undecided:
+                    group += [(i + w, _set_one(c, v)) for i, c in group if i + w < limit]
+                for i, c in group:
+                    yield i, c, ag, iso
+
+
+def _set_one(counts: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """``counts`` with 1 at position ``v``."""
+    return (*counts[:v], 1, *counts[v + 1 :])
 
 
 def _box_size(g: OrientedGraph, pebble_cap: int) -> int:
@@ -384,8 +451,8 @@ def search_isomorphic_pairs(
     isomorphism class) against every assignment with non-sink counts up to
     ``pebble_cap`` and keep the pairs isomorphic to their state graph."""
     _check_cap(pebble_cap)
-    if vertex_cap == 0:  # a negative cap is the enumeration's error
-        raise GraphError("vertex cap must be at least 1, got 0")
+    if vertex_cap < 1:
+        raise GraphError(f"vertex cap must be at least 1, got {vertex_cap}")
     graphs = enumerate_oriented_graphs(vertex_cap)
     result = _classify(graphs, pebble_cap, vertex_cap, ft_filter)
     result.stats["graph_classes"] = len(graphs)

@@ -735,9 +735,9 @@ def verify_thm_7_2(
     an oriented subgraph of it and (b) search bounded assignments making it
     isomorphic to its own state graph.  ``search_budget`` bounds the
     subgraph search's candidates and the assignment indices covered.  Of
-    those, only the `classify._candidates` are built, since the construction
-    is graded and every other assignment fails the pair test's exits, and
-    the hit with the least index is reported.
+    those, only the `classify._candidates` groups are built, since the
+    construction is graded and every other assignment fails the pair test's
+    exits, and the hit with the least index is reported.
 
     The assignment search is best effort: exhausting the cap without a
     finding is reported as budget-exceeded, not as a refutation.

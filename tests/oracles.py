@@ -64,8 +64,16 @@ root's valence, each move's child, made by ``apply_move``, with listed
 legal moves whose multiset equals that of the valences of the root's
 out-neighbours, and the children's children, made the same way, with
 parent counts whose multiset equals that of the in-degrees of the vertices
-at ``_source_distances`` level 2.  They are exactly the vectors that
-``scan_graph_assignments`` builds, once each.
+at ``_source_distances`` level 2.  ``scan_graph_assignments`` builds only
+such vectors, none twice, and answers for each of them with a build of its
+own, of a base that its moves leave unfed, or of a vector below it.
+
+``reference_pruned_hits`` is the earlier per-vector walk behind every scan:
+each vector of every pattern that passes the root-degree and level tests,
+built one by one with ``classify._built_witness``.  ``classify._hits``,
+which builds once per group of vectors that differ only on vertices no move
+feeds and skips every vector above one with too many states, must return
+the same hits, full traversability and witnesses.
 
 ``reference_thm_7_2_scan`` is the earlier thm-7.2 check, whose assignment
 search walked the whole box in index order, stopping when ``search_budget``
@@ -89,6 +97,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, permutations, product
+from operator import mul
 
 from pebblab import (
     Assignment,
@@ -104,7 +113,15 @@ from pebblab import (
     format_assignment,
     oriented_complete_bipartite,
 )
-from pebblab.classify import built_isomorphism, iter_count_vectors, state_graph_isomorphism
+from pebblab.classify import (
+    _built_witness,
+    _grandchild_in_degrees,
+    _heavy_sets,
+    _lowest_first,
+    built_isomorphism,
+    iter_count_vectors,
+    state_graph_isomorphism,
+)
 from pebblab.generate import _masks
 from pebblab.iso import _least_choice_tuple
 
@@ -591,6 +608,71 @@ def reference_scan_movers(graphs: list[OrientedGraph], cap: int):
             if sorted(map(len, parents.values())) == wanted_in:
                 movers.append((pos, a.counts))
     return movers
+
+
+def reference_pruned_hits(g: OrientedGraph, cap: int, limit: float = float("inf")):
+    """The earlier per-vector walk: (index, counts, state graph, witness) per
+    vector that passes the root-degree and level tests, built one by one."""
+    for idx, counts in _reference_candidates(g, cap, limit):
+        found = _built_witness(g, Assignment(g, counts))
+        if found:
+            yield idx, counts, *found
+
+
+def _reference_candidates(g: OrientedGraph, cap: int, limit: float):
+    """The earlier ``classify._candidates``: every vector of each passing
+    pattern, 0 or 1 on each light non-sink that no heavy vertex points to."""
+    root = g.graded_root()
+    if root is None:
+        return
+    valences = g.valences()
+    free = [i for i, d in enumerate(valences) if d]
+    free = free[: sum((cap + 1) ** k < limit for k in range(len(free)))]
+    can_move = [i for k, i in enumerate(free) if cap >= 2 and 2 * (cap + 1) ** k < limit]
+    weights = [0] * len(valences)
+    for k, i in enumerate(free):
+        weights[i] = (cap + 1) ** k
+    out = [[g.index(w) for w in g.out_neighbors(v)] for v in g.vertices]
+    r = g.index(root)
+    moves, wanted = valences[r], sorted(valences[w] for w in out[r])
+    wanted2 = None  # g's level-2 in-degrees, once some pattern passes level 1
+    light, low, high = range(min(cap, 1) + 1), range(2, min(cap, 3) + 1), range(4, cap + 1)
+    nonzero = set(free)
+    for chosen in _heavy_sets([valences[i] for i in can_move], moves):
+        heavy = {can_move[k] for k in chosen}
+        targets = {w for u in heavy for w in out[u] if w in nonzero}
+        # Per vertex, its sub-ranges, each with the moves that the children
+        # of its own moves lose and those that the children of moves into
+        # it gain.
+        options = [
+            [(rng, loss, 0) for rng, loss in ((low, d), (high, 0)) if rng] if i in heavy
+            else [((c,), 0, c * d) for c in light] if i in targets
+            else [(light if i in nonzero else (0,), 0, 0)]
+            for i, d in enumerate(valences)
+        ]
+        for pattern in product(*options):
+            children = sorted(moves - pattern[u][1] + pattern[w][2] for u in heavy for w in out[u])
+            if children != wanted:
+                continue
+            ranges = [rng for rng, _, _ in pattern]
+            if wanted2 is None:
+                # g is graded, so each in-edge of a level-2 vertex leaves level 1.
+                level2 = [x for w in out[r] for x in out[w]]
+                wanted2 = sorted(map(level2.count, set(level2)))
+                # Each move's key: 2 16^tail - 16^head.  A sum of two keys
+                # has signed base-16 digits in -2..4, so it names the state
+                # the two moves reach.
+                keys = [[(2 << 4 * u) - (1 << 4 * w) for w in ws] for u, ws in enumerate(out)]
+            # Without a level 2 the level-1 vertices are sinks, so a pattern
+            # that passed level 1 has no grandchild.
+            if wanted2 and _grandchild_in_degrees(out, keys, ranges, heavy, heavy | targets) != wanted2:
+                continue
+            # The last vertex varies slowest, so the pattern runs in index order.
+            for c in map(_lowest_first, product(*reversed(ranges))):
+                idx = sum(map(mul, c, weights))
+                if idx >= limit:
+                    break
+                yield idx, c
 
 
 def reference_thm_7_2_scan(n: int, m: int, pebbles: int, search_cap: int, search_budget: int):

@@ -389,7 +389,7 @@ def _exit_code(argv: list[str]) -> int:
             (
                 "argv19",
                 ["verify", "sec-6", "--vertex-cap", "-1", "--pebble-cap", "3"],
-                "vertex cap must be non-negative",
+                "vertex cap must be at least 1, got -1",
             ),
             (
                 "argv20",
@@ -435,6 +435,7 @@ def _exit_code(argv: list[str]) -> int:
             ("argv37", ["verify", "cor-7.1", "--factor", "simple:n=3,n=2,src=2"], "repeats the key 'n'"),
             ("argv38", ["search", "--max-vertices", "0", "--pebble-cap", "-1"], "pebble cap must be non-negative"),
             ("argv39", ["search", "--max-vertices", "0", "--pebble-cap", "2"], "vertex cap must be at least 1, got 0"),
+            ("argv40", ["search", "--max-vertices", "-1", "--pebble-cap", "2"], "vertex cap must be at least 1, got -1"),
         ]
     ],
 )

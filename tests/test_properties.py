@@ -1,11 +1,15 @@
-"""Property tests: ``build`` and the thm-2.1 pass against the oracles, on
-oriented graphs drawn by hypothesis.
+"""Property tests: ``build`` and the thm-2.1 pass against the oracles, and
+the two facts the assignment scan's grouped builds rest on, on oriented
+graphs drawn by hypothesis.
 
 Runs derandomized and without an example database, so every run checks the
 same examples.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from operator import add
 
 import pytest
 
@@ -60,3 +64,38 @@ def test_check_thm_2_1_matches_reference(instance):
     report = check_thm_2_1(g, a)
     want = reference_thm_2_1(reference_build(g, a))
     assert (report.verdict, report.stats, report.witness) == want
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.data())
+def test_more_pebbles_keep_every_state_shifted(instance, data):
+    # Fact A: every move sequence legal from a is legal from a' >= a, so
+    # shifting a's states by a' - a lands inside the states of a'.
+    g, a = instance
+    n = len(g.vertices)
+    extra = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda d: sum(d) <= 4))
+    states = set(reference_build(g, Assignment(g, tuple(map(add, a.counts, extra)))).states)
+    assert {tuple(map(add, s, extra)) for s in reference_build(g, a).states} <= states
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_unfed_empty_non_sinks_leave_the_rows_as_they_are(instance):
+    # Fact B: let U be the non-sinks that hold 0 under a and that no move
+    # of a's state graph feeds.  Then 0 or 1 on each vertex of U gives the
+    # same edge rows.
+    g, a = instance
+    ref = reference_build(g, a)
+    heads = {g.index(g.edges[e][1]) for _, _, e in ref.edges}
+    valences = g.valences()
+    undecided = [i for i, c in enumerate(a.counts) if c == 0 and valences[i] and i not in heads]
+    ag = build(g, a)
+    rows = (ag.offsets.tolist(), ag.targets.tolist(), ag.labels.tolist())
+    for bits in product((0, 1), repeat=len(undecided)):
+        counts = list(a.counts)
+        for i, bit in zip(undecided, bits):
+            counts[i] = bit
+        b = Assignment(g, counts)
+        assert reference_build(g, b).edges == ref.edges
+        other = build(g, b)
+        assert (other.offsets.tolist(), other.targets.tolist(), other.labels.tolist()) == rows

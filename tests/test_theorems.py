@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import random
 import subprocess
@@ -80,6 +81,7 @@ from oracles import (
     reference_built_isomorphism,
     reference_count_vectors,
     reference_iter_assignments,
+    reference_pruned_hits,
     reference_scan,
     reference_scan_movers,
     reference_state_graph_isomorphism,
@@ -633,24 +635,69 @@ def _scan_cases():
 def test_pruned_scan_matches_the_box_scan(monkeypatch):
     # Every class up to 4 vertices at caps 0-6, every 5-vertex class at cap
     # 3, and the downward 6- and 8-cycles at caps up to 5 and 3.  The scan
-    # builds exactly the box vectors that pass the root-degree, level-1
-    # out-degree and level-2 in-degree tests, each once, so a dropped, an
-    # extra or a repeated build fails even when it is not a hit.  It builds
-    # them pattern by pattern and sorts its hits, so the hits pin the order.
+    # builds only box vectors that pass the root-degree, level-1 out-degree
+    # and level-2 in-degree tests, none twice, and answers for each vector
+    # that passes them: it builds it, or builds a base below it that holds 0
+    # where it holds 1 and whose moves feed none of those vertices, or it
+    # dominates a built vector with more states than the graph has vertices.
+    # So a dropped, an extra or a repeated build fails even when it is not a
+    # hit.  It builds pattern by pattern and sorts its hits, so the hits pin
+    # the order.
     real = classify.build
     for graphs, cap in _scan_cases():
         position = {id(g): pos for pos, g in enumerate(graphs)}
         built = []
+        fed: dict[tuple[int, tuple[int, ...]], set[int] | None] = {}
 
         def recording(g, a, **kwargs):
-            built.append((position[id(g)], a.counts))
-            return real(g, a, **kwargs)
+            vector = (position[id(g)], a.counts)
+            built.append(vector)
+            fed[vector] = None  # stays None when the build raises
+            ag = real(g, a, **kwargs)
+            fed[vector] = {g.index(g.edges[e][1]) for e in ag.labels}
+            return ag
 
         monkeypatch.setattr(classify, "build", recording)
         got = classify.scan_graph_assignments(graphs, cap)
         monkeypatch.setattr(classify, "build", real)
         assert got == reference_scan(graphs, cap), cap
-        assert sorted(built) == sorted(reference_scan_movers(graphs, cap)), cap
+        movers = reference_scan_movers(graphs, cap)
+        assert set(built) <= set(movers) and len(set(built)) == len(built), cap
+
+        def answered(pos, counts):
+            for (at, base), heads in fed.items():
+                if at != pos:
+                    continue
+                if heads is None and all(map(operator.ge, counts, base)):
+                    return True
+                if heads is not None and all(
+                    c == b or (b, c) == (0, 1) and i not in heads for i, (c, b) in enumerate(zip(counts, base))
+                ):
+                    return True
+            return False
+
+        assert all(answered(*vector) for vector in movers), cap
+
+
+def test_grouped_hits_match_the_per_vector_walk():
+    # Every graded class up to 6 vertices at caps 0-6, the downward cycles
+    # with k <= 14 at caps 0-6, and limits 1, 5, 17, 100 and 1,000 at cap 4
+    # on every graded class up to 5 vertices.  A completion's hit carries
+    # its base's state graph and witness, which must give the full
+    # traversability and witness that its own build gives.
+    def hits(walk, g, cap, limit):
+        return sorted((idx, counts, ag.is_fully_traversable(), iso.pairs) for idx, counts, ag, iso in walk(g, cap, limit))
+
+    graded = [g for g in enumerate_oriented_graphs(6) if g.graded_root() is not None]
+    cases = [(g, cap, float("inf")) for g in graded for cap in range(7)]
+    cases += [(downward_cycle(k), cap, float("inf")) for k in range(4, 15, 2) for cap in range(7)]
+    cases += [(g, 4, limit) for g in graded if len(g.vertices) <= 5 for limit in (1, 5, 17, 100, 1000)]
+    found = Counter()
+    for case in cases:
+        want = hits(reference_pruned_hits, *case)
+        assert hits(classify._hits, *case) == want, case
+        found[case[2] == float("inf")] += len(want)
+    assert found[True] > 0 and found[False] > 0
 
 
 def test_five_vertex_search_at_cap_3_is_frozen():
