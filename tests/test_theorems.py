@@ -700,6 +700,29 @@ def test_grouped_hits_match_the_per_vector_walk():
     assert found[True] > 0 and found[False] > 0
 
 
+def test_long_cycle_scans_build_once_per_group(monkeypatch):
+    # On the downward 10-, 16- and 20-cycles at cap 6, 128, 8,192 and
+    # 131,072 vectors pass the level tests.  One build answers for each
+    # group of them that its moves leave unfed, and the one build that
+    # passes the state budget rules out every later vector above it, so
+    # an extra build means a lost group or a lost prune.
+    real = classify.build
+    builds = Counter()
+
+    def counting(g, a, **kwargs):
+        builds[len(g.vertices)] += 1
+        try:
+            return real(g, a, **kwargs)
+        except classify.StateBudgetExceededError:
+            builds[len(g.vertices), "raised"] += 1
+            raise
+
+    monkeypatch.setattr(classify, "build", counting)
+    for k in (10, 16, 20):
+        assert verify_thm_3_1(k, 6).stats["isomorphic_found"] == 0
+    assert builds == {10: 31, 16: 97, 20: 161, (10, "raised"): 1, (16, "raised"): 1, (20, "raised"): 1}
+
+
 def test_five_vertex_search_at_cap_3_is_frozen():
     # The digest is of `pebblab search --max-vertices 5 --pebble-cap 3
     # --format json`, as printed before the graded-root exit.
