@@ -255,26 +255,6 @@ class AssignmentGraph:
                 return self._targets[k]
         return None
 
-    def child_lists(self, lo: int, hi: int) -> list[list[int]]:
-        """Children of states lo..hi-1, one list each, in edge order."""
-        offsets = self._offsets
-        base = offsets[lo]
-        flat = self._targets[base : offsets[hi]].tolist()
-        return [flat[offsets[j] - base : offsets[j + 1] - base] for j in range(lo, hi)]
-
-    def movable_condition(self, lo: int, hi: int) -> list[bool]:
-        """For states lo..hi-1: are two vertices movable (two pebbles and an
-        out-edge), or does a 2-movable vertex (two out-edges) hold at least
-        four pebbles?  Read off each packed state by guard-bit masks."""
-        layout = self._layout
-        add2, movable = layout.add2, layout.movable
-        add4, heavy = layout.threshold_mask(4, 2)
-        return [
-            bool(two & (two - 1)) or bool((s + add4) & heavy)
-            for s in self._packed[lo:hi]
-            for two in ((s + add2) & movable,)
-        ]
-
     def assignment(self, state_id: int) -> Assignment:
         return Assignment(self.graph, self._layout.unpack(self._packed[state_id]))
 
@@ -326,6 +306,15 @@ class AssignmentGraph:
         }
 
 
+def check_build_args(graph: OrientedGraph, start: Assignment, state_budget: int) -> None:
+    """Raise ValueError when ``start`` is bound to another graph, then when
+    the budget is below one state."""
+    if start.graph is not graph and start.graph != graph:
+        raise ValueError("assignment is bound to a different graph")
+    if state_budget < 1:
+        raise ValueError("state budget must be at least 1")
+
+
 def build(
     graph: OrientedGraph,
     start: Assignment,
@@ -342,11 +331,7 @@ def build(
     returns the same state graph when it was kept (see ``_last_layout``).
     """
     global _last_layout
-    if start.graph is not graph and start.graph != graph:
-        raise ValueError("assignment is bound to a different graph")
-    if state_budget < 1:
-        raise ValueError("state budget must be at least 1")
-
+    check_build_args(graph, start, state_budget)
     counts = start.counts
     width = _field_width(sum(counts))
     last = _last_layout

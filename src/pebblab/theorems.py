@@ -13,11 +13,12 @@ from __future__ import annotations
 import inspect
 import random
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, count, product
+from itertools import combinations_with_replacement, product
 
-from .assignment_graph import DEFAULT_STATE_BUDGET, AssignmentGraph, build, find_downward_4_cycle
+from .assignment_graph import DEFAULT_STATE_BUDGET, AssignmentGraph, _field_width, _Layout, build
+from .assignment_graph import check_build_args, find_downward_4_cycle
 from .classify import (
     ClassificationResult,
     _box_size,
@@ -31,6 +32,7 @@ from .classify import (
     state_graph_isomorphism,
 )
 from .errors import AssignmentError, BudgetExceededError, EmbeddingNotFoundError, GraphError, UnknownClaimError
+from .errors import StateBudgetExceededError
 from .generate import enumerate_downward_trees, random_downward_tree
 from .graphs import OrientedGraph, downward_cycle, oriented_complete_bipartite, oriented_path
 # digraph_isomorphic is not called here, but perfbench's tracer patches it here.
@@ -223,41 +225,11 @@ def verify_cor_1_2(
 # -- section 2: the downward 4-cycle criterion -------------------------------
 
 
-def _thm_2_1_sides(ag: AssignmentGraph) -> tuple[bool, tuple[int, bool, bool] | None]:
-    """Both sides of the diamond criterion at every state, in state order:
-    (does some state root a downward 4-cycle, first (state, diamond side,
-    movable side) where the sides differ, or ``None``).
-
-    Diamond side: two distinct children share a child.  Children of a state
-    are distinct, so that is a repeat among its grandchildren; moves lower
-    the pebble total by one, so a level's states need only the child lists
-    of the level below, and two levels of lists are held at a time.
-    Movable side: ``AssignmentGraph.movable_condition``.
-    """
-    bounds = (*ag.levels, len(ag.states))
-    any_diamond = False
-    mismatch = None
-    kids = ag.child_lists(bounds[0], bounds[1])
-    for level in range(1, len(bounds)):
-        begin, end = bounds[level - 1], bounds[level]
-        grand = ag.child_lists(end, bounds[level + 1]) if level + 1 < len(bounds) else []
-        for sid, children, rhs in zip(count(begin), kids, ag.movable_condition(begin, end)):
-            diamond = False
-            if len(children) > 1:
-                reached = set(grand[children[0] - end])
-                for b in children[1:]:
-                    below = grand[b - end]
-                    if not reached.isdisjoint(below):
-                        diamond = True
-                        break
-                    reached.update(below)
-            if diamond != rhs and mismatch is None:
-                mismatch = (sid, diamond, rhs)
-            any_diamond = any_diamond or diamond
-            if mismatch is not None and any_diamond:
-                return any_diamond, mismatch
-        kids = grand
-    return any_diamond, mismatch
+def _movable_side(movable: int, heavy: bool) -> bool:
+    """The criterion's movable side at a state, from what its threshold
+    class says: ``movable`` vertices hold two pebbles and have an out-edge,
+    and ``heavy`` says whether one with two out-edges holds four."""
+    return movable >= 2 or heavy
 
 
 def check_thm_2_1(
@@ -265,36 +237,77 @@ def check_thm_2_1(
 ) -> VerificationReport:
     """The diamond criterion, checked state by state: a state is the top of
     a downward 4-cycle in the state graph exactly when it has two movable
-    vertices or a 2-movable vertex with at least four pebbles.
+    vertices or a 2-movable vertex with at least four pebbles.  The
+    assignment evolves as moves are played, so both sides are evaluated at
+    every reachable state, not only at the start.
 
-    The per-state form is the executable content of the criterion; the
-    assignment evolves as moves are played, so the movability side must be
-    evaluated at each reachable state, not only at the start.
+    Fact C, from the definitions alone.  Let a state's threshold class be
+    the sets of vertices with an out-edge holding at least 1, 2 and 4
+    pebbles.  After a move u -> w, a vertex x holds two pebbles exactly
+    when x = u held four, x = w held one, or another x held two.  So the
+    class fixes the legal moves at the state and at each child, and two
+    move pairs reach one grandchild exactly when their sums are equal,
+    whatever the state: both sides are functions of the class.
+
+    One pass, level by level in ``build``'s order and under its budget,
+    counts states and edges and keeps only two levels and each class's
+    first state.  When the pass ends, each class is decided at its first
+    state, in discovery order: the diamond side from the exact packed
+    children and grandchildren, the movable side by ``_movable_side``.
     """
-    try:
-        ag = build(g, a, state_budget)
-    except BudgetExceededError as exc:
-        return _budget_report("thm-2.1", a, exc)
-    any_diamond, mismatch = _thm_2_1_sides(ag)
-    stats = {
-        "states": len(ag.states),
-        "edges": len(ag.edges),
-        "contains_downward_4_cycle": any_diamond,
-    }
-    if mismatch is not None:
-        sid, lhs, rhs = mismatch
-        return _instance_report(
-            "thm-2.1",
-            a,
-            COUNTEREXAMPLE,
-            stats=stats,
-            witness={
-                "state": ag.state_label(sid),
-                "diamond_rooted_here": lhs,
-                "movable_condition_here": rhs,
-            },
-        )
-    return _instance_report("thm-2.1", a, HOLDS, stats=stats)
+    check_build_args(g, a, state_budget)
+    counts = a.counts
+    layout = _Layout(g, _field_width(sum(counts)))
+    movable, add2, moves = layout.movable, layout.add2, layout.moves
+    add1 = layout.threshold_mask(1, 1)[0]
+    add4 = layout.threshold_mask(4, 1)[0]
+    # Class key (the >= 1, >= 2 and >= 4 guard bits, shifted apart within
+    # each field) -> legal moves; ``firsts`` holds each class's first state.
+    classes: dict[int, tuple[int, ...]] = {}
+    firsts: list[int] = []
+    level: Iterable[int] = (layout.pack(counts),)
+    states, edges = 1, 0
+    while level:
+        room = state_budget - states
+        seen: dict[int, None] = {}
+        for s in level:
+            two = (s + add2) & movable
+            key = (s + add1) & movable | two >> 1 | ((s + add4) & movable) >> 2
+            deltas = classes.get(key)
+            if deltas is None:
+                deltas = classes[key] = moves(two)[0]
+                firsts.append(s)
+            for d in deltas:
+                seen[s - d] = None
+            edges += len(deltas)
+            if len(seen) > room:
+                return _budget_report("thm-2.1", a, StateBudgetExceededError(state_budget))
+        states += len(seen)
+        level = seen
+
+    two_bits = movable >> 1
+    heavy_bits = layout.threshold_mask(4, 2)[1] >> 2
+    any_diamond, witness = False, None
+    for s, (key, deltas) in zip(firsts, classes.items()):
+        diamond = False
+        reached: set[int] = set()
+        for d in deltas:
+            child = s - d
+            below = [child - e for e in moves((child + add2) & movable)[0]]
+            if not reached.isdisjoint(below):
+                diamond = True
+                break
+            reached.update(below)
+        rhs = _movable_side(bin(key & two_bits).count("1"), bool(key & heavy_bits))
+        if diamond != rhs and witness is None:
+            label = ",".join(map(str, layout.unpack(s)))
+            witness = {"state": label, "diamond_rooted_here": diamond, "movable_condition_here": rhs}
+        any_diamond = any_diamond or diamond
+        if witness is not None and any_diamond:
+            break
+    stats = {"states": states, "edges": edges, "contains_downward_4_cycle": any_diamond}
+    verdict = HOLDS if witness is None else COUNTEREXAMPLE
+    return _instance_report("thm-2.1", a, verdict, stats=stats, witness=witness)
 
 
 def _never_isomorphic(

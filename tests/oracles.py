@@ -337,9 +337,11 @@ def reference_diamond_rooted_states(ag) -> list[bool]:
     return out
 
 
-def reference_movable_side_states(ag) -> list[bool]:
+def reference_movable_side_states(ag, rule=None) -> list[bool]:
     """For each state: two movable vertices, or a 2-movable vertex holding
-    at least four pebbles?"""
+    at least four pebbles?  ``rule(movable, heavy)``, given the number of
+    movable vertices and whether a 2-movable one holds four, replaces that
+    test when it is passed."""
     g = ag.graph
     valences = [g.valence(v) for v in g.vertices]
     out = []
@@ -351,15 +353,16 @@ def reference_movable_side_states(ag) -> list[bool]:
                 movable += 1
                 if c >= 4 and val >= 2:
                     heavy = True
-        out.append(movable >= 2 or heavy)
+        out.append((movable >= 2 or heavy) if rule is None else rule(movable, heavy))
     return out
 
 
-def reference_thm_2_1(ag):
+def reference_thm_2_1(ag, rule=None):
     """(verdict, stats, witness) of the diamond criterion on a reference
-    state graph, as ``check_thm_2_1`` reports them."""
+    state graph, as ``check_thm_2_1`` reports them; ``rule`` replaces the
+    movable side as in ``reference_movable_side_states``."""
     diamond = reference_diamond_rooted_states(ag)
-    movable = reference_movable_side_states(ag)
+    movable = reference_movable_side_states(ag, rule)
     stats = {
         "states": len(ag.states),
         "edges": len(ag.edges),

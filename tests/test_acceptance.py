@@ -114,6 +114,18 @@ def test_criterion_03_diamond_criterion_corpus():
         assert skipped <= 10  # budget exclusions must stay rare
 
 
+def test_criterion_03_largest_random_draw():
+    # Draw 3894 of criterion 3's random part, the largest state graph it
+    # checks, drawn in the same loop.
+    rng = random.Random(RANDOM_SEED)
+    for _ in range(3895):
+        g = random_oriented_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.6))
+        a = random_assignment(rng, g, 6)
+    report = check_thm_2_1(g, a)
+    assert report.verdict == HOLDS
+    assert report.stats == {"states": 931_844, "edges": 8_106_619, "contains_downward_4_cycle": True}
+
+
 def test_criterion_04_larger_cycles():
     with criterion(4, "larger downward cycles", 120.0):
         r6 = verify_thm_3_1(6, 5)

@@ -1,6 +1,7 @@
-"""Property tests: ``build`` and the thm-2.1 pass against the oracles, and
-the two facts the assignment scan's grouped builds rest on, on oriented
-graphs drawn by hypothesis.
+"""Property tests: ``build`` and the thm-2.1 pass against the oracles, the
+fact the thm-2.1 pass decides each threshold class by, and the two facts
+the assignment scan's grouped builds rest on, on oriented graphs drawn by
+hypothesis.
 
 Runs derandomized and without an example database, so every run checks the
 same examples.
@@ -19,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblab import Assignment, OrientedGraph, build, check_thm_2_1
-from oracles import naive_state_space, reference_build, reference_thm_2_1
+from oracles import (
+    naive_state_space,
+    reference_build,
+    reference_diamond_rooted_states,
+    reference_movable_side_states,
+    reference_thm_2_1,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -64,6 +71,22 @@ def test_check_thm_2_1_matches_reference(instance):
     report = check_thm_2_1(g, a)
     want = reference_thm_2_1(reference_build(g, a))
     assert (report.verdict, report.stats, report.witness) == want
+
+
+@PROPERTY_SETTINGS
+@given(instances(max_vertices=6, max_count=5, max_total=12))
+def test_threshold_class_fixes_both_sides(instance):
+    # Fact C, which check_thm_2_1 decides each class by: reachable states
+    # whose vertices with an out-edge hold at least 1, 2 and 4 pebbles alike
+    # agree on both sides of the criterion.
+    g, a = instance
+    ag = reference_build(g, a)
+    moving = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
+    sides = {}
+    rows = zip(ag.states, reference_diamond_rooted_states(ag), reference_movable_side_states(ag))
+    for counts, diamond, movable in rows:
+        key = tuple((counts[i] >= 1, counts[i] >= 2, counts[i] >= 4) for i in moving)
+        assert sides.setdefault(key, (diamond, movable)) == (diamond, movable)
 
 
 @PROPERTY_SETTINGS

@@ -53,9 +53,7 @@ from pebblab import (
     verify_thm_7_1,
     verify_thm_7_2,
 )
-from array import array
-
-from pebblab import classify, iso, theorems
+from pebblab import StateBudgetExceededError, classify, iso, theorems
 from pebblab.assignment_graph import AssignmentGraph
 from pebblab.classify import built_isomorphism, iter_count_vectors, state_graph_isomorphism
 from pebblab.generate import enumerate_oriented_graphs, random_assignment, random_oriented_graph
@@ -76,7 +74,6 @@ from pebblab.theorems import (
 )
 from conftest import corpus_instances, star_tree
 from oracles import (
-    ReferenceAssignmentGraph,
     reference_build,
     reference_built_isomorphism,
     reference_count_vectors,
@@ -181,18 +178,24 @@ def test_thm_2_1_movability_evolves_along_moves():
 
 def test_thm_2_1_budget():
     c6 = downward_cycle(6)
-    report = check_thm_2_1(c6, Assignment(c6, {"top": 6, "l1": 6, "r1": 6}), state_budget=5)
+    a = Assignment(c6, {"top": 6, "l1": 6, "r1": 6})
+    report = check_thm_2_1(c6, a, state_budget=5)
     assert report.verdict == BUDGET_EXCEEDED
+    assert report.stats == {"state_budget": 5}
+    assert assert_thm_2_1_matches_reference(c6, a, budget=5) is None
 
 
-def assert_thm_2_1_matches_reference(g, a, budget=10**6):
+def assert_thm_2_1_matches_reference(g, a, budget=10**6, rule=None):
+    """check_thm_2_1's report, after checking it against the oracle run
+    with the same movable-side ``rule``; None when the budget ran out."""
     report = check_thm_2_1(g, a, budget)
     try:
-        want = reference_thm_2_1(reference_build(g, a, budget))
-    except theorems.StateBudgetExceededError:
+        want = reference_thm_2_1(reference_build(g, a, budget), rule)
+    except StateBudgetExceededError:
         assert report.verdict == BUDGET_EXCEEDED
-        return
+        return None
     assert (report.verdict, report.stats, report.witness) == want
+    return report
 
 
 def test_thm_2_1_matches_reference_on_exhaustive_4_vertex_corpus():
@@ -215,48 +218,62 @@ def test_thm_2_1_matches_reference_on_random_draws():
         assert_thm_2_1_matches_reference(g, random_assignment(rng, g, 6), budget=20_000)
 
 
-def _tampered(ag, edges):
-    """``ag`` with its edge rows replaced by ``edges`` (sorted triples), and
-    the reference graph with the same edges."""
-    edges = sorted(edges)
-    offsets = array("I", [0] * (len(ag.states) + 1))
-    for f, _, _ in edges:
-        offsets[f + 1] += 1
-    for i in range(len(ag.states)):
-        offsets[i + 1] += offsets[i]
-    new = AssignmentGraph(
-        ag._layout, ag.packed, ag.levels, offsets,
-        array("I", [t for _, t, _ in edges]), array("I", [e for _, _, e in edges]),
-    )
-    return new, ReferenceAssignmentGraph(ag.graph, tuple(ag.states), tuple(edges))
+def test_thm_2_1_budget_matches_build_exactly():
+    # At a budget of exactly the state count the check completes, and one
+    # state less runs out where build raises.
+    rng = random.Random(27)
+    for _ in range(150):
+        g = random_oriented_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.6))
+        a = random_assignment(rng, g, 6)
+        n = len(build(g, a, 20_000).states)
+        assert check_thm_2_1(g, a, n).verdict == HOLDS
+        if n > 1:
+            with pytest.raises(StateBudgetExceededError):
+                build(g, a, n - 1)
+            report = check_thm_2_1(g, a, n - 1)
+            assert (report.verdict, report.stats) == (BUDGET_EXCEEDED, {"state_budget": n - 1})
+
+
+def test_thm_2_1_argument_errors_match_build():
+    c4 = downward_cycle(4)
+    other = Assignment(downward_cycle(6), {"top": 2})
+    for args in ((c4, other, 0), (c4, other, 5), (c4, Assignment(c4, {"top": 2}), 0)):
+        with pytest.raises(ValueError) as built:
+            build(*args)
+        with pytest.raises(ValueError) as checked:
+            check_thm_2_1(*args)
+        assert str(checked.value) == str(built.value)
+
+
+# Wrong movable sides, each a function of the threshold class: never, always,
+# without the 2-movable clause, and that clause alone.
+WRONG_MOVABLE_SIDES = (
+    lambda movable, heavy: False,
+    lambda movable, heavy: True,
+    lambda movable, heavy: movable >= 2,
+    lambda movable, heavy: heavy,
+)
 
 
 def test_thm_2_1_counterexample_witness_matches_reference(monkeypatch):
-    # The criterion holds on every real state graph, so tamper with the
-    # edges (drop one, or redirect one within its level) to make both
-    # passes find counterexamples, and compare the first one they report.
+    # The criterion holds on every real state graph, so give both passes the
+    # same wrong movable side to make them find counterexamples, and compare
+    # the first one they report.  The check decides each threshold class
+    # once, so this also checks that the class fixes the diamond side.
+    rng = random.Random(7)
+    p3 = oriented_path(3)
+    # (4,1,0): no diamond at the root, one at (2,2,0) below it.
+    instances = [(p3, Assignment(p3, {"a1": 4, "a2": 1}))]
+    instances += [(g, a) for _, g, a in corpus_instances()]
+    for _ in range(40):
+        g = random_oriented_graph(rng, rng.randint(2, 6), rng.uniform(0.2, 0.6))
+        instances.append((g, random_assignment(rng, g, 5)))
     counterexamples, kinds = 0, set()
-    for _, g, a in corpus_instances():
-        ag = build(g, a)
-        if len(ag.edges) > 200:
-            continue
-        edges = list(ag.edges)
-        bounds = (*ag.levels, len(ag.states))
-        variants = [edges[:k] + edges[k + 1 :] for k in range(len(edges))]
-        for k, (f, t, e) in enumerate(edges):
-            level = max(i for i, lo in enumerate(bounds) if lo <= t)
-            taken = {x for y, x, _ in edges if y == f}
-            for other in range(bounds[level], bounds[level + 1]):
-                if other not in taken:
-                    variants.append(edges[:k] + [(f, other, e)] + edges[k + 1 :])
-                    break
-        for variant in variants:
-            new, ref = _tampered(ag, variant)
-            monkeypatch.setattr(theorems, "build", lambda *args, new=new: new)
-            report = check_thm_2_1(g, a)
-            want = reference_thm_2_1(ref)
-            assert (report.verdict, report.stats, report.witness) == want
-            if report.verdict == COUNTEREXAMPLE:
+    for rule in WRONG_MOVABLE_SIDES:
+        monkeypatch.setattr(theorems, "_movable_side", rule)
+        for g, a in instances:
+            report = assert_thm_2_1_matches_reference(g, a, 20_000, rule)
+            if report is not None and report.verdict == COUNTEREXAMPLE:
                 kinds.add(report.witness["diamond_rooted_here"])
                 counterexamples += 1
     assert counterexamples >= 50 and kinds == {False, True}
