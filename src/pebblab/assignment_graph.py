@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from functools import partial
 
 from .errors import StateBudgetExceededError
 from .graphs import OrientedGraph
@@ -124,74 +123,23 @@ class _Layout:
 _last_layout: tuple[_Layout, tuple[int, ...], AssignmentGraph | None] | None = None
 
 
-class _View(Sequence):
-    """Read-only tuple view: its length is known up front, its items are
-    materialised on first use and compare equal to the plain tuple."""
-
-    __slots__ = ("_len", "_make", "_items")
-
-    def __init__(self, length: int, make):
-        self._len = length
-        self._make = make
-        self._items = None
-
-    def _tuple(self) -> tuple:
-        if self._items is None:
-            self._items = self._make()
-        return self._items
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        return self._tuple()[i]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _View):
-            other = other._tuple()
-        if isinstance(other, tuple):
-            return self._tuple() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __repr__(self) -> str:
-        return repr(self._tuple())
-
-
-def _state_tuples(layout: _Layout, packed: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(layout.unpack, packed))
-
-
-def _edge_triples(offsets, targets, labels) -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        (i, targets[k], labels[k]) for i in range(len(offsets) - 1) for k in range(offsets[i], offsets[i + 1])
-    )
-
-
 class AssignmentGraph:
     """Immutable state graph; state 0 is always the initial assignment.
 
-    The compact form is what ``build`` makes: ``packed`` (one int per state,
-    in id order), ``levels`` (the first state id of each pebble total, in
-    falling order of total), and the edge rows ``offsets``, ``targets`` and
-    ``labels`` (read-only memoryviews of the ``array('I')`` rows).
-    ``states`` (count tuples) and ``edges`` ((from, to, index into
-    graph.edges) triples, by source then edge order) are views of it,
-    materialised on first use; their lengths cost nothing.  None of these
-    attributes can be rebound or written to.
+    ``build`` makes one form: ``packed`` (one int per state, in id order)
+    and the edge rows ``offsets``, ``targets`` and ``labels`` (read-only
+    memoryviews of the ``array('I')`` rows), so ``len(packed)`` and
+    ``len(labels)`` count the states and edges.  ``states`` (count tuples)
+    and ``edges`` ((from, to, index into graph.edges) triples, by source
+    then edge order) are plain tuples built from it on first read and kept.
+    None of these attributes can be rebound or written to.
     """
 
-    __slots__ = ("_layout", "_packed", "_levels", "_offsets", "_targets", "_labels", "_states", "_edges")
+    __slots__ = ("_layout", "_packed", "_offsets", "_targets", "_labels", "_states", "_edges")
 
-    def __init__(self, layout: _Layout, packed, levels, offsets, targets, labels):
+    def __init__(self, layout: _Layout, packed, offsets, targets, labels):
         self._layout = layout
         self._packed = tuple(packed)
-        self._levels = tuple(levels)
         self._offsets = offsets
         self._targets = targets
         self._labels = labels
@@ -210,10 +158,6 @@ class AssignmentGraph:
         return self._packed
 
     @property
-    def levels(self) -> tuple[int, ...]:
-        return self._levels
-
-    @property
     def offsets(self) -> memoryview:
         return memoryview(self._offsets).toreadonly()
 
@@ -225,21 +169,21 @@ class AssignmentGraph:
     def labels(self) -> memoryview:
         return memoryview(self._labels).toreadonly()
 
-    # The views hold the rows, not ``self``: no reference cycle, so a
-    # dropped graph is freed at once.
-
     @property
-    def states(self) -> Sequence[tuple[int, ...]]:
+    def states(self) -> tuple[tuple[int, ...], ...]:
         if self._states is None:
-            make = partial(_state_tuples, self._layout, self._packed)
-            self._states = _View(len(self._packed), make)
+            self._states = tuple(map(self._layout.unpack, self._packed))
         return self._states
 
     @property
-    def edges(self) -> Sequence[tuple[int, int, int]]:
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
         if self._edges is None:
-            make = partial(_edge_triples, self._offsets, self._targets, self._labels)
-            self._edges = _View(len(self._targets), make)
+            offsets, targets, labels = self._offsets, self._targets, self._labels
+            self._edges = tuple(
+                (i, targets[k], labels[k])
+                for i in range(len(offsets) - 1)
+                for k in range(offsets[i], offsets[i + 1])
+            )
         return self._edges
 
     @property
@@ -285,12 +229,13 @@ class AssignmentGraph:
 
     def to_dot(self) -> str:
         """Byte-stable DOT text: nodes in state order, edges sorted by
-        (from, to, label)."""
+        (from, to, label).  Vertex names in edge labels have ``\\`` and
+        ``"`` escaped, so any name the text format allows stays valid DOT."""
         lines = ["digraph assignment_graph {"]
-        for i in range(len(self.states)):
+        for i in range(len(self._packed)):
             lines.append(f'  s{i} [label="{self.state_label(i)}"];')
-        edges = self.graph.edges
-        rows = sorted((f, t, "->".join(edges[e])) for f, t, e in self.edges)
+        names = ["->".join(e).replace("\\", "\\\\").replace('"', '\\"') for e in self.graph.edges]
+        rows = sorted((f, t, names[e]) for f, t, e in self.edges)
         for f, t, label in rows:
             lines.append(f'  s{f} -> s{t} [label="{label}"];')
         lines.append("}")
@@ -346,7 +291,6 @@ def build(
     _last_layout = (layout, counts, None)
     add, movable, table, moves = layout.add2, layout.movable, layout.table, layout.moves
     packed = [layout.pack(counts)]
-    levels = [0]
     offsets = array("I", [0])
     targets = array("I")
     labels = array("I")
@@ -376,9 +320,8 @@ def build(
         if not seen:
             break
         packed += seen
-        levels.append(end)
         begin = end
-    ag = AssignmentGraph(layout, packed, levels, offsets, targets, labels)
+    ag = AssignmentGraph(layout, packed, offsets, targets, labels)
     if len(packed) <= len(graph.vertices):
         _last_layout = (layout, counts, ag)
     return ag

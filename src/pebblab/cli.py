@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -66,16 +65,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _state_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("PEBBLAB_BUDGET")
-    try:
-        return positive_int(env) if env else DEFAULT_STATE_BUDGET
-    except (ValueError, argparse.ArgumentTypeError):
-        raise PebblabError(f"PEBBLAB_BUDGET must be an integer of at least 1, got {env!r}") from None
-
-
 def _read_instance(path: str):
     with open(path, encoding="utf-8") as fh:
         return parse_graph_text(fh.read())
@@ -83,9 +72,9 @@ def _read_instance(path: str):
 
 def cmd_build(args) -> int:
     g, a = _read_instance(args.input)
-    ag = build(g, a, _state_budget(args))
+    ag = build(g, a, args.budget)
     ft = ag.is_fully_traversable()
-    print(f"{len(ag.states)} states, {len(ag.edges)} edges, "
+    print(f"{len(ag.packed)} states, {len(ag.labels)} edges, "
           f"fully traversable: {'true' if ft else 'false'}")
     print("traversal counts:")
     for (u, w), c in ag.traversal_counts().items():
@@ -197,7 +186,7 @@ def _verify_params(args) -> dict:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    report, extra = run_claim(args.claim, _verify_params(args), state_budget=_state_budget(args))
+    report, extra = run_claim(args.claim, _verify_params(args))
     elapsed = time.monotonic() - started
 
     if args.format == "json":
@@ -246,7 +235,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument("input", help="graph + assignment in the text format")
     p_build.add_argument("--dot", help="write the state graph as DOT to this path")
     p_build.add_argument("--json", help="write the state graph as JSON to this path")
-    p_build.add_argument("--budget", type=positive_int, default=None, help="state budget")
+    p_build.add_argument("--budget", type=positive_int, default=DEFAULT_STATE_BUDGET, help="state budget")
     p_build.set_defaults(fn=cmd_build)
 
     p_iso = sub.add_parser("iso", help="decide isomorphism of two graph files")

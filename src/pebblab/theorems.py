@@ -148,7 +148,7 @@ def verify_prop_1_1(
         return _budget_report("prop-1.1", a, exc)
     ft = ag.is_fully_traversable()
     iso = built_isomorphism(g, ag)
-    stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
+    stats = {"states": len(ag.packed), "fully_traversable": ft, "isomorphic": iso is not None}
     if not ft or iso is None:
         return _instance_report("prop-1.1", a, HYPOTHESIS_NOT_MET, stats=stats)
     counts = ag.traversal_counts()
@@ -175,7 +175,7 @@ def verify_cor_1_1(
         return _budget_report("cor-1.1", a, exc)
     ft = ag.is_fully_traversable()
     iso = built_isomorphism(g, ag)
-    stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
+    stats = {"states": len(ag.packed), "fully_traversable": ft, "isomorphic": iso is not None}
     if not ft or iso is None:
         return _instance_report("cor-1.1", a, HYPOTHESIS_NOT_MET, stats=stats)
     offenders = {v: a[v] for v in g.vertices if a[v] > 3}
@@ -204,7 +204,7 @@ def verify_cor_1_2(
         return _budget_report("cor-1.2", a, exc)
     ft = ag.is_fully_traversable()
     iso = built_isomorphism(g, ag)
-    stats = {"states": len(ag.states), "fully_traversable": ft, "isomorphic": iso is not None}
+    stats = {"states": len(ag.packed), "fully_traversable": ft, "isomorphic": iso is not None}
     if not g.edges or ft or iso is None:
         return _instance_report("cor-1.2", a, HYPOTHESIS_NOT_MET, stats=stats)
     counts = ag.traversal_counts()
@@ -320,7 +320,7 @@ def _never_isomorphic(
     except BudgetExceededError as exc:
         return _budget_report(claim, a, exc)
     ft = ag.is_fully_traversable()
-    stats = {"states": len(ag.states), premise: met, "fully_traversable": ft}
+    stats = {"states": len(ag.packed), premise: met, "fully_traversable": ft}
     if not met or not ft:
         return _instance_report(claim, a, HYPOTHESIS_NOT_MET, stats=stats)
     iso = built_isomorphism(g, ag)
@@ -416,7 +416,7 @@ def verify_thm_5_1(
     iso = built_isomorphism(tree, ag)
     explicit_ok = _explicit_tree_map_is_isomorphism(tree, ag)
     stats = {
-        "states": len(ag.states),
+        "states": len(ag.packed),
         "isomorphic": iso is not None,
         "explicit_map_verified": explicit_ok,
     }
@@ -442,9 +442,9 @@ def _explicit_tree_map_is_isomorphism(tree: OrientedGraph, ag: AssignmentGraph) 
             if child is None:
                 return False
             stack.append((w, child))
-    if len(set(psi.values())) != len(ag.states) or len(psi) != len(tree.vertices):
+    if len(set(psi.values())) != len(ag.packed) or len(psi) != len(tree.vertices):
         return False
-    return len(tree.edges) == len(ag.edges)
+    return len(tree.edges) == len(ag.labels)
 
 
 def verify_thm_5_1_batch(
@@ -842,7 +842,7 @@ def construct_thm_8_1(
 
     ag_host = build(host, host_assignment, state_budget)
     shadow_iso = undirected_isomorphic(host, ag_host.as_oriented_graph())
-    same_states = len(ag_host.states) == len(ag.states)
+    same_states = len(ag_host.packed) == len(ag.packed)
     verdict = HOLDS if (shadow_iso is not None and same_states) else COUNTEREXAMPLE
     report = VerificationReport(
         "thm-8.1",
@@ -853,8 +853,8 @@ def construct_thm_8_1(
             "undirected_isomorphism": shadow_iso.to_json_obj()["map"] if shadow_iso else None,
         },
         stats={
-            "original_states": len(ag.states),
-            "host_states": len(ag_host.states),
+            "original_states": len(ag.packed),
+            "host_states": len(ag_host.packed),
             "host_vertices": len(host.vertices),
         },
         instance_text=format_assignment(a),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 
@@ -14,6 +15,7 @@ from pebblab import (
     downward_cycle,
     find_downward_4_cycle,
     oriented_path,
+    parse_graph_text,
     random_downward_tree,
     simple_assignment,
     tree_assignment,
@@ -234,6 +236,15 @@ def test_dot_output_stable():
     assert dot.startswith("digraph assignment_graph {")
 
 
+def test_dot_escapes_quotes_and_backslashes_in_edge_labels():
+    # The text format allows any non-whitespace name.
+    g, a = parse_graph_text('v a"b 2\nv c\\\ne a"b c\\\n')
+    dot = build(g, a).to_dot()
+    quoted = re.findall(r'label="((?:[^"\\]|\\.)*)"', dot)
+    assert len(quoted) == dot.count("label=") == 3
+    assert re.sub(r"\\(.)", r"\1", quoted[-1]) == 'a"b->c\\'
+
+
 def test_assignment_graph_is_simple(instances):
     for name, g, a in instances:
         ag = build(g, a)
@@ -330,7 +341,7 @@ def test_state_budget_edge_on_multilevel_instance():
     g = downward_cycle(4)
     a = Assignment(g, {"top": 6, "l1": 3})
     states = len(reference_build(g, a).states)
-    assert states > 10 and len(build(g, a).levels) > 3
+    assert states > 10 and len({sum(s) for s in build(g, a).states}) > 3
     assert len(build(g, a, state_budget=states).states) == states
     with pytest.raises(StateBudgetExceededError):
         build(g, a, state_budget=states - 1)
@@ -339,12 +350,13 @@ def test_state_budget_edge_on_multilevel_instance():
 
 
 def test_levels_hold_one_pebble_total_each():
+    # Breadth-first order is level order: in id order, the states' pebble
+    # totals never rise, and each drop is by exactly one.
     g = downward_cycle(4)
     ag = build(g, Assignment(g, {"top": 5, "l1": 2, "r1": 3}))
-    bounds = (*ag.levels, len(ag.states))
-    for depth, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        assert lo < hi
-        assert {sum(ag.states[i]) for i in range(lo, hi)} == {sum(ag.states[0]) - depth}
+    totals = [sum(s) for s in ag.states]
+    assert len(set(totals)) > 3
+    assert all(later in (total, total - 1) for total, later in zip(totals, totals[1:]))
 
 
 def test_views_behave_like_tuples():
@@ -363,13 +375,13 @@ def test_state_graph_is_immutable():
     g = downward_cycle(4)
     ag = build(g, Assignment(g, {"top": 4}))
     states, edges = tuple(ag.states), tuple(ag.edges)
-    for name in ("graph", "packed", "levels", "offsets", "targets", "labels", "states", "edges"):
+    for name in ("graph", "packed", "offsets", "targets", "labels", "states", "edges"):
         with pytest.raises(AttributeError):
             setattr(ag, name, None)
     for row in (ag.offsets, ag.targets, ag.labels):
         with pytest.raises(TypeError):
             row[0] = 1
-    assert isinstance(ag.packed, tuple) and isinstance(ag.levels, tuple)
+    assert isinstance(ag.packed, tuple)
     assert ag.states == states and ag.edges == edges
     assert list(ag.targets) == [t for _, t, _ in edges] and list(ag.labels) == [e for _, _, e in edges]
 
@@ -460,7 +472,7 @@ def test_a_repeat_build_returns_the_kept_state_graph():
     twin, b = _copy(tree, a)
     fresh = build(twin, b)
     assert fresh is not ag
-    assert ag.packed == fresh.packed and ag.levels == fresh.levels
+    assert ag.packed == fresh.packed
     for row in ("offsets", "targets", "labels"):
         assert getattr(ag, row).tobytes() == getattr(fresh, row).tobytes()
     assert ag.states == reference_build(tree, a).states
@@ -517,3 +529,13 @@ def test_argument_errors_come_before_the_kept_state_graph():
     other = OrientedGraph(tree.vertices, tree.edges[1:])
     with pytest.raises(ValueError, match="different graph"):
         build(tree, Assignment(other, a.counts))
+
+
+def test_checkers_never_build_the_tuple_forms():
+    tree, a = _tree_instance()
+    leaves = {v: a.counts[tree.index(v)] for v in tree.sinks()}
+    assert theorems.verify_thm_5_1(tree, 3, leaves).verdict == theorems.HOLDS
+    assert theorems.verify_prop_1_1(tree, a).verdict == theorems.HOLDS
+    kept = build(tree, a)
+    assert assignment_graph._last_layout[2] is kept
+    assert kept._states is None and kept._edges is None

@@ -42,6 +42,17 @@ def test_build_summary_and_dot(tmp_path, capsys, instance_file):
     assert payload["root"] == 0
 
 
+def test_build_summary_never_unpacks_a_state(capsys, instance_file, monkeypatch):
+    from pebblab import assignment_graph
+
+    def refuse(self, s):
+        raise AssertionError("a state was unpacked")
+
+    monkeypatch.setattr(assignment_graph._Layout, "unpack", refuse)
+    assert main(["build", instance_file]) == 0
+    assert capsys.readouterr().out.startswith("7 states, 8 edges, fully traversable: true\n")
+
+
 def test_build_single_vertex(tmp_path, capsys):
     path = tmp_path / "one.txt"
     path.write_text("v a\n")
@@ -56,12 +67,9 @@ def test_build_parse_error_cites_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_build_budget_exit(tmp_path, capsys, instance_file, monkeypatch):
+def test_build_budget_exit(tmp_path, capsys, instance_file):
     assert main(["build", instance_file, "--budget", "3"]) == 3
-    monkeypatch.setenv("PEBBLAB_BUDGET", "3")
-    assert main(["build", instance_file]) == 3
-    monkeypatch.setenv("PEBBLAB_BUDGET", "100")
-    assert main(["build", instance_file]) == 0
+    assert main(["build", instance_file, "--budget", "7"]) == 0
 
 
 def test_iso_command(tmp_path, capsys):
@@ -479,20 +487,6 @@ def test_thm_7_2_checks_its_search_cap_before_any_build(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "pebble cap must be non-negative, got -1" in captured.err
-
-
-def test_bad_budget_environment_is_a_usage_error(capsys, instance_file, monkeypatch):
-    monkeypatch.setenv("PEBBLAB_BUDGET", "abc")
-    assert main(["build", instance_file]) == 2
-    assert "PEBBLAB_BUDGET" in capsys.readouterr().err
-
-
-def test_budget_environment_below_one_is_a_usage_error(capsys, instance_file, monkeypatch):
-    for value in ("0", "-3"):
-        monkeypatch.setenv("PEBBLAB_BUDGET", value)
-        assert main(["build", instance_file]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "PEBBLAB_BUDGET" in captured.err
 
 
 # A valid invocation of every claim form; forms that read the state budget
