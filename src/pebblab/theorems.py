@@ -241,13 +241,16 @@ def check_thm_2_1(
     assignment evolves as moves are played, so both sides are evaluated at
     every reachable state, not only at the start.
 
-    Fact C, from the definitions alone.  Let a state's threshold class be
-    the sets of vertices with an out-edge holding at least 1, 2 and 4
-    pebbles.  After a move u -> w, a vertex x holds two pebbles exactly
-    when x = u held four, x = w held one, or another x held two.  So the
-    class fixes the legal moves at the state and at each child, and two
-    move pairs reach one grandchild exactly when their sums are equal,
-    whatever the state: both sides are functions of the class.
+    Fact C', from the definitions alone.  Let T be the set of vertices with
+    an out-edge holding at least two pebbles.  A state's threshold class is
+    T, the vertices of T holding at least four, and the non-sink heads of
+    T's out-edges holding at least one.  After a move u -> w, with u in T,
+    a vertex x holds two pebbles exactly when x = u held four, x = w held
+    one, or another x held two, and a sink w never moves.  So the class
+    fixes the legal moves at the state and at each child, and two move
+    pairs reach one grandchild exactly when their sums are equal, whatever
+    the state: both sides are functions of the class.  Neither side reads
+    the at-least-one bits of any other vertex.
 
     One pass, level by level in ``build``'s order and under its budget,
     counts states and edges and keeps only two levels and each class's
@@ -261,10 +264,14 @@ def check_thm_2_1(
     movable, add2, moves = layout.movable, layout.add2, layout.moves
     add1 = layout.threshold_mask(1, 1)[0]
     add4 = layout.threshold_mask(4, 1)[0]
-    # Class key (the >= 1, >= 2 and >= 4 guard bits, shifted apart within
-    # each field) -> legal moves; ``firsts`` holds each class's first state.
-    classes: dict[int, tuple[int, ...]] = {}
-    firsts: list[int] = []
+    top = layout.width - 1
+    # Per edge: the guard bit of its head, or 0 when the head is a sink.
+    head_bits = [(1 << (g.index(w) * layout.width + top)) & movable for _, w in g.edges]
+    # T's guard bits -> (legal moves, guard bits of their non-sink heads,
+    # move count); ``classes`` maps each class key (the >= 1, >= 2 and >= 4
+    # guard bits, shifted apart within each field) to its first state.
+    table: dict[int, tuple[tuple[int, ...], int, int]] = {}
+    classes: dict[int, int] = {}
     level: Iterable[int] = (layout.pack(counts),)
     states, edges = 1, 0
     while level:
@@ -272,14 +279,20 @@ def check_thm_2_1(
         seen: dict[int, None] = {}
         for s in level:
             two = (s + add2) & movable
-            key = (s + add1) & movable | two >> 1 | ((s + add4) & movable) >> 2
-            deltas = classes.get(key)
-            if deltas is None:
-                deltas = classes[key] = moves(two)[0]
-                firsts.append(s)
+            entry = table.get(two)
+            if entry is None:
+                deltas, labels = moves(two)
+                heads = 0
+                for e in labels:
+                    heads |= head_bits[e]
+                entry = table[two] = (deltas, heads, len(deltas))
+            deltas, heads, n = entry
+            key = (s + add1) & heads | two >> 1 | ((s + add4) & movable) >> 2
+            if key not in classes:
+                classes[key] = s
             for d in deltas:
                 seen[s - d] = None
-            edges += len(deltas)
+            edges += n
             if len(seen) > room:
                 return _budget_report("thm-2.1", a, StateBudgetExceededError(state_budget))
         states += len(seen)
@@ -288,17 +301,18 @@ def check_thm_2_1(
     two_bits = movable >> 1
     heavy_bits = layout.threshold_mask(4, 2)[1] >> 2
     any_diamond, witness = False, None
-    for s, (key, deltas) in zip(firsts, classes.items()):
+    for key, s in classes.items():
         diamond = False
         reached: set[int] = set()
-        for d in deltas:
+        # Every child was a state of the pass, so its moves are in the table.
+        for d in table[(key & two_bits) << 1][0]:
             child = s - d
-            below = [child - e for e in moves((child + add2) & movable)[0]]
+            below = [child - e for e in table[(child + add2) & movable][0]]
             if not reached.isdisjoint(below):
                 diamond = True
                 break
             reached.update(below)
-        rhs = _movable_side(bin(key & two_bits).count("1"), bool(key & heavy_bits))
+        rhs = _movable_side((key & two_bits).bit_count(), bool(key & heavy_bits))
         if diamond != rhs and witness is None:
             label = ",".join(map(str, layout.unpack(s)))
             witness = {"state": label, "diamond_rooted_here": diamond, "movable_condition_here": rhs}

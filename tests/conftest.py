@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from pebblab import theorems
 from pebblab import (
     Assignment,
     OrientedGraph,
@@ -92,3 +93,18 @@ def instances():
 @pytest.fixture
 def small_graphs():
     return corpus_small_graphs()
+
+
+@pytest.fixture
+def decided_classes(monkeypatch):
+    """A list with one entry per call of ``theorems._movable_side``, which
+    ``check_thm_2_1`` calls once per threshold class it decides."""
+    calls = []
+    real = theorems._movable_side
+
+    def counting(movable, heavy):
+        calls.append((movable, heavy))
+        return real(movable, heavy)
+
+    monkeypatch.setattr(theorems, "_movable_side", counting)
+    return calls

@@ -114,9 +114,11 @@ def test_criterion_03_diamond_criterion_corpus():
         assert skipped <= 10  # budget exclusions must stay rare
 
 
-def test_criterion_03_largest_random_draw():
+def test_criterion_03_largest_random_draw(decided_classes):
     # Draw 3894 of criterion 3's random part, the largest state graph it
-    # checks, drawn in the same loop.
+    # checks, drawn in the same loop.  The check decides 34,910 threshold
+    # classes: keyed on every non-sink's at-least-one bit it would decide
+    # 56,115, and with no at-least-one bits 5,441 (sound only if thm-2.1 is).
     rng = random.Random(RANDOM_SEED)
     for _ in range(3895):
         g = random_oriented_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.6))
@@ -124,6 +126,7 @@ def test_criterion_03_largest_random_draw():
     report = check_thm_2_1(g, a)
     assert report.verdict == HOLDS
     assert report.stats == {"states": 931_844, "edges": 8_106_619, "contains_downward_4_cycle": True}
+    assert len(decided_classes) == 34_910
 
 
 def test_criterion_04_larger_cycles():

@@ -23,7 +23,7 @@ from pebblab import (
 from pebblab import assignment_graph, theorems
 from pebblab.generate import random_assignment, random_oriented_graph
 from conftest import corpus_instances, corpus_small_graphs
-from oracles import brute_downward_4_cycles, naive_state_space, reference_build
+from oracles import brute_downward_4_cycles, naive_state_space, reference_build, reference_thm_2_1
 
 
 def test_seven_state_figure():
@@ -306,6 +306,7 @@ def test_field_width_boundaries(total):
     # The sink holds the bulk, so the state graph stays small while its
     # count sits next to a field's guard bit; with the sink first, a carry
     # out of its field would land in the fields of the vertices that move.
+    # thm-2.1's class key reads the guard bits at the top of each field.
     edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "sink")]
     for names in (["a", "b", "c", "sink"], ["sink", "c", "b", "a"]):
         g = OrientedGraph(names, edges)
@@ -314,6 +315,8 @@ def test_field_width_boundaries(total):
             ag = assert_same_as_reference(g, a)
             assert ag.states[0] == a.counts and sum(ag.states[-1]) < total
             assert ag.assignment(len(ag.states) - 1).counts == ag.states[-1]
+            report = theorems.check_thm_2_1(g, a)
+            assert (report.verdict, report.stats, report.witness) == reference_thm_2_1(reference_build(g, a))
 
 
 @pytest.mark.parametrize("total", [126, 127, 128, 129, 2**15, 2**15 + 1])

@@ -76,16 +76,22 @@ def test_check_thm_2_1_matches_reference(instance):
 @PROPERTY_SETTINGS
 @given(instances(max_vertices=6, max_count=5, max_total=12))
 def test_threshold_class_fixes_both_sides(instance):
-    # Fact C, which check_thm_2_1 decides each class by: reachable states
-    # whose vertices with an out-edge hold at least 1, 2 and 4 pebbles alike
-    # agree on both sides of the criterion.
+    # Fact C', which check_thm_2_1 decides each class by: reachable states
+    # with the same set T of vertices with an out-edge holding at least 2,
+    # the same vertices of T holding at least 4, and the same non-sink heads
+    # of T's out-edges holding at least 1, agree on both sides.  Its classes
+    # are unions of those of Fact C, which also keys on every other
+    # non-sink's at-least-1 bit, so this checks Fact C too.
     g, a = instance
     ag = reference_build(g, a)
     moving = [i for i, v in enumerate(g.vertices) if g.valence(v) > 0]
+    heads = [{g.index(w) for w in g.out_neighbors(v) if g.valence(w) > 0} for v in g.vertices]
     sides = {}
     rows = zip(ag.states, reference_diamond_rooted_states(ag), reference_movable_side_states(ag))
     for counts, diamond, movable in rows:
-        key = tuple((counts[i] >= 1, counts[i] >= 2, counts[i] >= 4) for i in moving)
+        two = [i for i in moving if counts[i] >= 2]
+        fed = sorted(set().union(*(heads[i] for i in two)))
+        key = (tuple(two), tuple(counts[i] >= 4 for i in two), tuple(counts[j] >= 1 for j in fed))
         assert sides.setdefault(key, (diamond, movable)) == (diamond, movable)
 
 

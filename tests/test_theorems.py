@@ -176,6 +176,21 @@ def test_thm_2_1_movability_evolves_along_moves():
     assert report.stats["contains_downward_4_cycle"] is True
 
 
+def test_thm_2_1_decides_each_coarse_class_once(decided_classes):
+    # A class is the >= 2 set T, its vertices with >= 4 and the non-sink
+    # heads of T's out-edges with >= 1.  (6,1,1,0) on a downward 4-cycle
+    # has 22 states in 18 classes; keyed on every non-sink's >= 1 bit it
+    # would be 21, and with no >= 1 bits 13.
+    c4 = downward_cycle(4)
+    report = check_thm_2_1(c4, Assignment(c4, {"top": 6, "l1": 1, "r1": 1}))
+    assert (report.verdict, report.stats["states"], len(decided_classes)) == (HOLDS, 22, 18)
+    # (4,1,0) on a 3-path: five states, each its own class.
+    decided_classes.clear()
+    p3 = oriented_path(3)
+    report = check_thm_2_1(p3, Assignment(p3, {"a1": 4, "a2": 1}))
+    assert (report.verdict, report.stats["states"], len(decided_classes)) == (HOLDS, 5, 5)
+
+
 def test_thm_2_1_budget():
     c6 = downward_cycle(6)
     a = Assignment(c6, {"top": 6, "l1": 6, "r1": 6})
