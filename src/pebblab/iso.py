@@ -4,12 +4,18 @@ induced undirected embeddings, oriented subgraphs and canonical forms.
 Every vertex-mapping search runs through one backtracking core,
 ``_backtrack``.  Its caller fixes the order in which g's vertices are placed
 and the candidate targets of each; the core then extends a partial injective
-map one vertex at a time.  An induced search needs g and h to agree on
+map one vertex at a time, holding its place in lists rather than recursion,
+so graphs of any depth fit.  An induced search needs g and h to agree on
 adjacency among placed vertices, a subgraph search only needs each g edge to
 land on an h edge.  Isomorphism searches confine candidates to color-refined
-classes; embedding searches bound them by degree and count every candidate
-tried against an expansion budget, raising SearchBudgetExceededError when it
-runs out, so a missing result is never mistaken for a proved absence.
+classes, or, when both graphs are out-trees, to the classes of their subtree
+codes (``_tree_classes``).  On a forest those are refinement's classes, and
+the search reads only the partition (class counts, class sizes and each
+class's h vertices in index order), so it returns the same witnesses and
+automorphism lists either way.  Embedding searches bound candidates by degree
+and count every candidate tried against an expansion budget, raising
+SearchBudgetExceededError when it runs out, so a missing result is never
+mistaken for a proved absence.
 
 Witnesses come in four modes: ``"directed"`` and ``"undirected"``
 isomorphisms, ``"induced-embedding"`` (g's shadow onto an induced subgraph of
@@ -138,6 +144,55 @@ def _joint_colors(
     return colors[:n], colors[n:]
 
 
+def _tree_order(out_adj, in_adj) -> list[int] | None:
+    """The vertices of an out-tree in breadth-first order from its root, or
+    ``None`` unless exactly one vertex has no in-neighbor, every other has
+    exactly one, and the root reaches every vertex."""
+    sizes = list(map(len, in_adj))
+    if sizes.count(0) != 1 or sum(sizes) != len(sizes) - 1:
+        return None
+    order = [sizes.index(0)]
+    for v in order:
+        order.extend(out_adj[v])
+    return order if len(order) == len(sizes) else None
+
+
+def _tree_classes(g_out, g_in, h_out, h_in) -> tuple[list[int], list[int]] | None:
+    """The joint color classes of two out-trees from subtree codes, or
+    ``None`` unless both graphs are out-trees.
+
+    A vertex's code ranks the sorted codes of its children, and its class
+    ranks the pair (its parent's class, its code), the root's parent being
+    -1.  Both ranks come from dictionaries shared by g and h.  Color
+    refinement's stable classes on a forest are its orbits, the vertices
+    with equal root paths of codes, so these are the classes
+    ``_joint_colors`` gives, under other numbers: every reader of the
+    colors sees the same partition.  One pass each way, where refinement
+    takes a round per level of depth.
+    """
+    g_order = _tree_order(g_out, g_in)
+    h_order = _tree_order(h_out, h_in)
+    if g_order is None or h_order is None:
+        return None
+    codes: dict[tuple[int, ...], int] = {(): 0}
+    classes: dict[tuple[int, int], int] = {}
+    found = []
+    for out_adj, order in ((g_out, g_order), (h_out, h_order)):
+        code = [0] * len(order)
+        child_code = code.__getitem__
+        for v in reversed(order):
+            if out_adj[v]:
+                code[v] = codes.setdefault(tuple(sorted(map(child_code, out_adj[v]))), len(codes))
+        cls = [0] * len(order)
+        cls[order[0]] = classes.setdefault((-1, code[order[0]]), len(classes))
+        for v in order:
+            c = cls[v]
+            for w in out_adj[v]:
+                cls[w] = classes.setdefault((c, code[w]), len(classes))
+        found.append(cls)
+    return found[0], found[1]
+
+
 # -- the backtracking core ----------------------------------------------------
 
 
@@ -177,23 +232,41 @@ def _backtrack(
     """
     if len(order) > len(h_out):
         return []
+    n = len(order)
     depth = {v: d for d, v in enumerate(order)}
-    placed_out = [[u for u in g_out[v] if depth[u] < depth[v]] for v in range(len(order))]
-    placed_in = [[u for u in g_in[v] if depth[u] < depth[v]] for v in range(len(order))]
-    image = [-1] * len(order)
+    placed_out = [[u for u in g_out[v] if depth[u] < depth[v]] for v in range(n)]
+    placed_in = [[u for u in g_in[v] if depth[u] < depth[v]] for v in range(n)]
+    image = [-1] * n
     used: set[int] = set()
     results: list[list[int]] = []
     expansions = 0
-
-    def rec(d: int) -> bool:
-        nonlocal expansions
-        if d == len(order):
+    # The search holds its place in lists, not in recursion, so any depth
+    # fits: order[d] tries the candidates left in untried[d] against the
+    # images needs[d] its placed neighbors ask for.  Coming back to a depth
+    # frees the image placed there before trying the next candidate.
+    untried: list = [None] * n
+    needs: list = [None] * n
+    d = 0
+    while d >= 0:
+        if d == n:
             results.append(list(image))
-            return not want_all
+            if not want_all:
+                return results
+            d -= 1
+            continue
         v = order[d]
-        need_out = {image[u] for u in placed_out[v]}
-        need_in = {image[u] for u in placed_in[v]}
-        for x in candidates[v]:
+        x = image[v]
+        if x < 0:
+            tried = untried[d] = iter(candidates[v])
+            need_out = {image[u] for u in placed_out[v]}
+            need_in = {image[u] for u in placed_in[v]}
+            needs[d] = need_out, need_in
+        else:
+            used.discard(x)
+            image[v] = -1
+            tried = untried[d]
+            need_out, need_in = needs[d]
+        for x in tried:
             if x in used:
                 continue
             if budget is not None:
@@ -207,21 +280,17 @@ def _backtrack(
             if fits:
                 image[v] = x
                 used.add(x)
-                if rec(d + 1):
-                    return True
-                used.discard(x)
-        return False
-
-    try:
-        rec(0)
-    finally:
-        del rec  # rec refers to itself; breaking that cycle frees the search on return, not at the next GC
+                d += 1
+                break
+        else:
+            d -= 1
     return results
 
 
 def _isomorphisms(g_out, g_in, h_out, h_in, want_all: bool) -> list[list[int]]:
-    """Isomorphisms with every vertex confined to its jointly refined color."""
-    gcols, hcols = _joint_colors(g_out, g_in, h_out, h_in)
+    """Isomorphisms with every vertex confined to its joint color class:
+    subtree-code classes for two out-trees, refined colors otherwise."""
+    gcols, hcols = _tree_classes(g_out, g_in, h_out, h_in) or _joint_colors(g_out, g_in, h_out, h_in)
     if sorted(gcols) != sorted(hcols):
         return []
     by_color: dict[int, list[int]] = {}

@@ -262,15 +262,16 @@ def check_thm_2_1(
     counts = a.counts
     layout = _Layout(g, _field_width(sum(counts)))
     movable, add2, moves = layout.movable, layout.add2, layout.moves
-    add1 = layout.threshold_mask(1, 1)[0]
-    add4 = layout.threshold_mask(4, 1)[0]
     top = layout.width - 1
     # Per edge: the guard bit of its head, or 0 when the head is a sink.
     head_bits = [(1 << (g.index(w) * layout.width + top)) & movable for _, w in g.edges]
-    # T's guard bits -> (legal moves, guard bits of their non-sink heads,
-    # move count); ``classes`` maps each class key (the >= 1, >= 2 and >= 4
-    # guard bits, shifted apart within each field) to its first state.
-    table: dict[int, tuple[tuple[int, ...], int, int]] = {}
+    # T's guard bits -> (legal moves, add, mask, T >> 1, move count).  A
+    # vertex of T always holds at least one pebble, so one addition reads
+    # every bit of the class: ``(s + add) & mask`` keeps the >= 4 guard bits
+    # of T and the >= 1 guard bits of the other non-sink heads, and T >> 1
+    # sits one bit below T's guard bits.  ``classes`` maps each class key
+    # to its first state.
+    table: dict[int, tuple[tuple[int, ...], int, int, int, int]] = {}
     classes: dict[int, int] = {}
     level: Iterable[int] = (layout.pack(counts),)
     states, edges = 1, 0
@@ -285,9 +286,11 @@ def check_thm_2_1(
                 heads = 0
                 for e in labels:
                     heads |= head_bits[e]
-                entry = table[two] = (deltas, heads, len(deltas))
-            deltas, heads, n = entry
-            key = (s + add1) & heads | two >> 1 | ((s + add4) & movable) >> 2
+                others = heads & ~two
+                add = two - 4 * (two >> top) + others - (others >> top)
+                entry = table[two] = (deltas, add, two | heads, two >> 1, len(deltas))
+            deltas, add, mask, half, n = entry
+            key = (s + add) & mask | half
             if key not in classes:
                 classes[key] = s
             for d in deltas:
@@ -299,20 +302,21 @@ def check_thm_2_1(
         level = seen
 
     two_bits = movable >> 1
-    heavy_bits = layout.threshold_mask(4, 2)[1] >> 2
+    heavy_bits = layout.threshold_mask(4, 2)[1]
     any_diamond, witness = False, None
     for key, s in classes.items():
         diamond = False
         reached: set[int] = set()
         # Every child was a state of the pass, so its moves are in the table.
-        for d in table[(key & two_bits) << 1][0]:
+        two = (key & two_bits) << 1
+        for d in table[two][0]:
             child = s - d
             below = [child - e for e in table[(child + add2) & movable][0]]
             if not reached.isdisjoint(below):
                 diamond = True
                 break
             reached.update(below)
-        rhs = _movable_side((key & two_bits).bit_count(), bool(key & heavy_bits))
+        rhs = _movable_side(two.bit_count(), bool(key & two & heavy_bits))
         if diamond != rhs and witness is None:
             label = ",".join(map(str, layout.unpack(s)))
             witness = {"state": label, "diamond_rooted_here": diamond, "movable_condition_here": rhs}

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from pebblab import HOLDS, oriented_path, verify_thm_5_1
 from pebblab.cli import main
 
 FOUR_CYCLE_ROOT4 = """\
@@ -118,6 +119,19 @@ def test_verify_instance_claims(tmp_path, capsys):
     heavy = tmp_path / "heavy.txt"
     heavy.write_text("v a 2\nv b 9\ne a b\n")
     assert main(["verify", "cor-1.1", "--input", str(heavy)]) == 1
+
+
+def test_thm_5_1_on_a_path_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """The isomorphism search places one vertex per depth without recursing,
+    so a 1,200-vertex downward path holds through the library and the CLI."""
+    n = 1200
+    assert verify_thm_5_1(oriented_path(n), 2).verdict == HOLDS
+    lines = ["v a1 2", *(f"v a{i} 1" for i in range(2, n)), f"v a{n} 0"]
+    lines += [f"e a{i} a{i + 1}" for i in range(1, n)]
+    path = tmp_path / "path.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "thm-5.1", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == HOLDS
 
 
 def test_verify_sec_6_below_pebble_cap_3_expects_only_reachable_trees(capsys):

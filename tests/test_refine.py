@@ -1,17 +1,23 @@
 """The color refinement and variable order of the isomorphism core against
 their earlier versions in ``oracles``: equal lists, not just equal
-partitions, and equal results from every entry point that uses them."""
+partitions, and equal results from every entry point that uses them.  The
+out-tree classes from subtree codes against the refinement they bypass:
+equal partitions, and equal results from every entry point."""
 
 from __future__ import annotations
 
 import random
+from array import array
+from functools import cache
 
 from pebblab import (
+    OrientedGraph,
     SearchBudgetExceededError,
     automorphisms,
     build,
     canonical_labeling,
     digraph_isomorphic,
+    enumerate_downward_trees,
     find_induced_undirected_embedding,
     iso,
     random_downward_tree,
@@ -19,7 +25,15 @@ from pebblab import (
     tree_assignment,
     undirected_isomorphic,
 )
-from pebblab.iso import _directed_adj, _joint_colors, _refine, _shadow_adj, _variable_order
+from pebblab.iso import (
+    _directed_adj,
+    _joint_colors,
+    _refine,
+    _shadow_adj,
+    _tree_classes,
+    _variable_order,
+    isomorphism_onto_rows,
+)
 from oracles import _source_distances, reference_refine, reference_variable_order
 
 
@@ -44,11 +58,11 @@ def _random_pairs(seed, count):
             yield g, random_oriented_graph(rng, n, rng.uniform(0.2, 1))
 
 
-def _tree_pairs(seed, count):
+def _tree_pairs(seed, count, max_vertices=8):
     """Seeded downward trees with the state graph of a thm-5.1 assignment."""
     rng = random.Random(seed)
     for _ in range(count):
-        tree = random_downward_tree(rng, rng.randint(2, 8))
+        tree = random_downward_tree(rng, rng.randint(2, max_vertices))
         a = tree_assignment(tree, rng.choice((2, 3)), {v: rng.randint(0, 4) for v in tree.sinks()})
         yield tree, build(tree, a).as_oriented_graph()
 
@@ -182,3 +196,120 @@ def test_entry_points_match_the_reference_refinement_and_order(monkeypatch):
     monkeypatch.setattr(iso, "_refine", reference_refine)
     monkeypatch.setattr(iso, "_variable_order", reference_variable_order)
     assert _entry_point_results() == current
+
+
+def _partition(gcols, hcols):
+    """The classes of the joint universe, g's vertices first, as sorted
+    blocks of indices: what the colors mean once their numbers are dropped."""
+    blocks: dict[int, list[int]] = {}
+    for x, c in enumerate(gcols + hcols):
+        blocks.setdefault(c, []).append(x)
+    return sorted(blocks.values())
+
+
+def _relabelled(rng, g):
+    names = list(g.vertices)
+    return g.relabel(dict(zip(names, rng.sample(names, len(names)))))
+
+
+@cache
+def _enumerated_tree_pairs():
+    """Every downward tree on at most 8 vertices, against a relabelled copy
+    of itself and against three seeded trees of its size (fewer on 3
+    vertices or less)."""
+    rng = random.Random(27)
+    by_size: dict[int, list[OrientedGraph]] = {}
+    for tree in enumerate_downward_trees(8):
+        by_size.setdefault(len(tree.vertices), []).append(tree)
+    pairs = []
+    for trees in by_size.values():
+        for tree in trees:
+            pairs.append((tree, _relabelled(rng, tree)))
+            pairs.extend((tree, other) for other in rng.sample(trees, min(3, len(trees))))
+    return pairs
+
+
+def _rows(h):
+    """``h``'s out-rows in the form ``isomorphism_onto_rows`` reads."""
+    offsets, targets = array("I", [0]), array("I")
+    for row in _directed_adj(h)[0]:
+        targets.extend(sorted(row))
+        offsets.append(len(targets))
+    return offsets, targets
+
+
+def test_tree_classes_partition_trees_as_refinement_does():
+    pairs = _enumerated_tree_pairs()
+    assert len({g for g, _ in pairs}) == 200
+    for g, h in pairs:
+        g_adj, h_adj = _directed_adj(g), _directed_adj(h)
+        classes = _tree_classes(*g_adj, *h_adj)
+        assert classes is not None
+        assert _partition(*classes) == _partition(*_joint_colors(*g_adj, *h_adj))
+
+
+def _tree_entry_point_results():
+    results = []
+    for g, h in [*_enumerated_tree_pairs(), *_tree_pairs(28, 60, max_vertices=24)]:
+        results.append(
+            (
+                digraph_isomorphic(g, h),
+                isomorphism_onto_rows(g, *_rows(h)),
+                automorphisms(h),
+            )
+        )
+    return results
+
+
+def test_tree_entry_points_match_the_refinement_path(monkeypatch):
+    taken = []
+    real = iso._tree_classes
+
+    def counted(*adj):
+        found = real(*adj)
+        taken.append(found is not None)
+        return found
+
+    monkeypatch.setattr(iso, "_tree_classes", counted)
+    current = _tree_entry_point_results()
+    assert all(taken)
+    assert sum(result[0] is not None for result in current) > len(current) // 4
+    monkeypatch.setattr(iso, "_tree_classes", lambda *adj: None)
+    assert _tree_entry_point_results() == current
+
+
+def test_tree_classes_refuse_graphs_that_are_not_out_trees():
+    tree = OrientedGraph(["r", "a", "b", "c"], [("r", "a"), ("r", "b"), ("b", "c")])
+    # A root over one leaf, beside a directed 3-cycle: one vertex has no
+    # in-neighbor and every other has one, yet the root reaches two vertices.
+    with_cycle = OrientedGraph(["r", "a", "x", "y", "z"], [("r", "a"), ("x", "y"), ("y", "z"), ("z", "x")])
+    tree_adj = _directed_adj(tree)
+    for adj in (_directed_adj(with_cycle), (_shadow_adj(tree),) * 2, _directed_adj(OrientedGraph([], []))):
+        assert _tree_classes(*adj, *tree_adj) is None
+        assert _tree_classes(*tree_adj, *adj) is None
+    # A shadow with one isolated vertex and a matching has the tree's
+    # in-degree pattern; its isolated vertex reaches only itself.
+    matching = OrientedGraph(["i", "a", "b"], [("a", "b")])
+    assert _tree_classes(*(_shadow_adj(matching),) * 2, *(_shadow_adj(matching),) * 2) is None
+    assert _tree_classes(*tree_adj, *tree_adj) is not None
+
+
+def test_tree_classes_keep_non_isomorphic_trees_apart():
+    """Two six-vertex trees with equal out-degree multisets whose root
+    branches have lengths 3 and 2 against 4 and 1."""
+    names = ["r", "a", "b", "c", "d", "e"]
+    g = OrientedGraph(names, [("r", "a"), ("r", "b"), ("a", "c"), ("b", "d"), ("c", "e")])
+    h = OrientedGraph(names, [("r", "a"), ("r", "b"), ("a", "c"), ("c", "d"), ("d", "e")])
+    gcols, hcols = _tree_classes(*_directed_adj(g), *_directed_adj(h))
+    assert sorted(gcols) != sorted(hcols)
+    assert digraph_isomorphic(g, h) is None
+    assert isomorphism_onto_rows(g, *_rows(h)) is None
+    assert digraph_isomorphic(g, g) is not None
+
+
+def test_tree_classes_of_a_single_vertex():
+    g = OrientedGraph(["v"], [])
+    assert _tree_classes(*_directed_adj(g), *_directed_adj(g)) == ([0], [0])
+    assert [w.pairs for w in automorphisms(g)] == [(("v", "v"),)]
+    assert digraph_isomorphic(g, OrientedGraph(["w"], [])).pairs == (("v", "w"),)
+    assert isomorphism_onto_rows(g, *_rows(g)).pairs == (("v", "0"),)
