@@ -30,10 +30,19 @@ signature until a round adds no color class.  That round would only rank the
 colors it read, so it returns them without ranking, and dense stable input
 comes back unchanged.  Lists of at most one neighbor skip the sort.
 
+The search places next the unplaced vertex with the most placed neighbors,
+then the smallest color class, then the lowest index (``_variable_order``).
+It pops them from a heap of packed keys, one per vertex, pushing a vertex's
+new key when a neighbor is placed and skipping the stale ones.
+
 ``canonical_labeling`` maps into no target graph, so it has its own search,
 ``_least_order``, which also keys enumeration in ``generate``: the ordering
 with the least choice tuple, grown one position at a time over every tying
-prefix.  Instances here stay small (a few dozen vertices), so a self-contained
+prefix.  True twins (equal out- and in-neighbours) are swapped by an
+automorphism, so of the twins in a cell only the lowest-index one is tried.
+That keeps stars and edgeless graphs small; other symmetric graphs still
+hold every tying prefix (automorphism pruning would bound those).
+Instances here stay small (a few dozen vertices), so a self-contained
 search beats an external solver and keeps every witness auditable.
 """
 
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations, pairwise
 
 from .errors import PebblabError, SearchBudgetExceededError
@@ -202,19 +212,28 @@ def _variable_order(n: int, g_out, g_in, colors: list[int]) -> list[int]:
     The next vertex has the most placed neighbors, then the smallest color
     class, then the lowest index.  That triple is packed into one integer
     key, ``-placed_neighbors * n(n+1) + class_size * n + u``, which drops by
-    ``n(n+1)`` for each neighbor placed.
+    ``n(n+1)`` for each neighbor placed.  Keys are distinct and name their
+    vertex (``key % n == u``), so a heap that pushes each new key and skips
+    the stale ones pops the vertices in that order.
     """
     color_count = Counter(colors)
     step = n * (n + 1)
     key = [color_count[c] * n + u for u, c in enumerate(colors)]
+    heap = key.copy()
+    heapify(heap)
+    placed = [False] * n
     order: list[int] = []
-    remaining = set(range(n))
-    while remaining:
-        v = min(remaining, key=key.__getitem__)
+    while heap:
+        k = heappop(heap)
+        v = k % n
+        if k != key[v]:
+            continue
+        placed[v] = True
         order.append(v)
-        remaining.discard(v)
         for u in g_out[v] | g_in[v]:
-            key[u] -= step
+            if not placed[u]:
+                key[u] -= step
+                heappush(heap, key[u])
     return order
 
 
@@ -411,8 +430,21 @@ def _least_order(succ: list[int], pred: list[int]) -> tuple[int, ...]:
     sizes, so rows compare as those counts.  Only the states that reach the
     least row survive, each cell split by code 0/1/2 in that order.  At
     most n! states arise; the first survivor's prefix is returned.
+
+    True twins stay in one cell until placed, and swapping two of them
+    maps a state's descendants onto the other's with equal rows.  So a
+    vertex is not tried while a lower-index twin is in the cell: the least
+    row is unchanged, and so is the first survivor, whose prefix never
+    takes a twin ahead of a lower one.
     """
     n = len(succ)
+    # Per vertex, its lower-index true twins: equal out- and in-masks.
+    twins: dict[tuple[int, int], int] = {}
+    lower = []
+    for v, masks in enumerate(zip(succ, pred)):
+        below = twins.get(masks, 0)
+        lower.append(below)
+        twins[masks] = below | 1 << v
     states: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ((1 << n) - 1,))]
     for _ in range(n):
         best = None
@@ -423,6 +455,8 @@ def _least_order(succ: list[int], pred: list[int]) -> tuple[int, ...]:
                 bit = rest & -rest
                 rest ^= bit
                 v = bit.bit_length() - 1
+                if lower[v] & head:
+                    continue
                 s, p = succ[v], pred[v]
                 row = []
                 for cell in (head ^ bit, *cells[1:]):

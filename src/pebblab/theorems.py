@@ -13,9 +13,9 @@ from __future__ import annotations
 import inspect
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 
 from .assignment_graph import DEFAULT_STATE_BUDGET, AssignmentGraph, _field_width, _Layout, build
 from .assignment_graph import check_build_args, find_downward_4_cycle
@@ -254,9 +254,16 @@ def check_thm_2_1(
 
     One pass, level by level in ``build``'s order and under its budget,
     counts states and edges and keeps only two levels and each class's
-    first state.  When the pass ends, each class is decided at its first
-    state, in discovery order: the diamond side from the exact packed
-    children and grandchildren, the movable side by ``_movable_side``.
+    first state.  It walks a level in stretches and tests the budget at the
+    end of each: a stretch is as many states as the room left holds at the
+    graph's edge count of moves each, and at least one, so the next level
+    never overshoots the budget by more than one state's moves, and the
+    pass runs out exactly where ``build`` does.  When the pass ends, each
+    class is decided at its first state, in discovery order: the diamond
+    side from the exact packed children and grandchildren (the first two
+    moves played in either order, else the distinct grandchildren counted
+    against the move pairs that reach them), the movable side by
+    ``_movable_side``.
     """
     check_build_args(g, a, state_budget)
     counts = a.counts
@@ -273,29 +280,38 @@ def check_thm_2_1(
     # to its first state.
     table: dict[int, tuple[tuple[int, ...], int, int, int, int]] = {}
     classes: dict[int, int] = {}
-    level: Iterable[int] = (layout.pack(counts),)
+    level: Collection[int] = (layout.pack(counts),)
     states, edges = 1, 0
+    # No state has more legal moves than the graph has edges.
+    most_moves = max(1, len(g.edges))
     while level:
         room = state_budget - states
         seen: dict[int, None] = {}
-        for s in level:
-            two = (s + add2) & movable
-            entry = table.get(two)
-            if entry is None:
-                deltas, labels = moves(two)
-                heads = 0
-                for e in labels:
-                    heads |= head_bits[e]
-                others = heads & ~two
-                add = two - 4 * (two >> top) + others - (others >> top)
-                entry = table[two] = (deltas, add, two | heads, two >> 1, len(deltas))
-            deltas, add, mask, half, n = entry
-            key = (s + add) & mask | half
-            if key not in classes:
-                classes[key] = s
-            for d in deltas:
-                seen[s - d] = None
-            edges += n
+        walk = iter(level)
+        left = len(level)
+        while left > 0:
+            # k states add at most k * most_moves new ones, so a stretch
+            # stays within the room, or takes one state when less is left.
+            k = max(1, (room - len(seen)) // most_moves)
+            left -= k
+            for s in islice(walk, k):
+                two = (s + add2) & movable
+                entry = table.get(two)
+                if entry is None:
+                    deltas, labels = moves(two)
+                    heads = 0
+                    for e in labels:
+                        heads |= head_bits[e]
+                    others = heads & ~two
+                    add = two - 4 * (two >> top) + others - (others >> top)
+                    entry = table[two] = (deltas, add, two | heads, two >> 1, len(deltas))
+                deltas, add, mask, half, n = entry
+                key = (s + add) & mask | half
+                if key not in classes:
+                    classes[key] = s
+                for d in deltas:
+                    seen[s - d] = None
+                edges += n
             if len(seen) > room:
                 return _budget_report("thm-2.1", a, StateBudgetExceededError(state_budget))
         states += len(seen)
@@ -305,17 +321,29 @@ def check_thm_2_1(
     heavy_bits = layout.threshold_mask(4, 2)[1]
     any_diamond, witness = False, None
     for key, s in classes.items():
-        diamond = False
-        reached: set[int] = set()
         # Every child was a state of the pass, so its moves are in the table.
         two = (key & two_bits) << 1
-        for d in table[two][0]:
-            child = s - d
-            below = [child - e for e in table[(child + add2) & movable][0]]
-            if not reached.isdisjoint(below):
-                diamond = True
-                break
-            reached.update(below)
+        first = table[two][0]
+        # Most diamonds close on the first two moves played in either order.
+        # A move stays legal after another that leaves a different vertex,
+        # and after one from its own vertex exactly when that vertex held
+        # four, so the second move is legal after the first exactly when the
+        # first is legal after the second.  Otherwise count grandchildren:
+        # distinct moves from one state reach distinct states, so the
+        # distinct ones fall behind the pairs counted exactly when two first
+        # moves meet.
+        diamond = len(first) > 1 and first[1] in table[(s - first[0] + add2) & movable][0]
+        if not diamond:
+            reached: set[int] = set()
+            pairs = 0
+            for d in first:
+                child = s - d
+                below = table[(child + add2) & movable][0]
+                reached.update([child - e for e in below])
+                pairs += len(below)
+                if len(reached) < pairs:
+                    diamond = True
+                    break
         rhs = _movable_side(two.bit_count(), bool(key & two & heavy_bits))
         if diamond != rhs and witness is None:
             label = ",".join(map(str, layout.unpack(s)))

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,29 @@ def test_canonical_form_examples():
     e3a = OrientedGraph(["a", "b", "c"])
     e3b = OrientedGraph(["z", "q", "m"])
     assert canonical_form(e3a) == canonical_form(e3b)
+
+
+def test_canonical_form_of_many_twins_fits_in_memory():
+    # Twelve leaves of a star, or twelve isolated vertices, are true twins
+    # (equal out- and in-neighbours).  Keeping every tying prefix would hold
+    # 12! search states; trying one twin per cell keeps a handful.  A child
+    # process under a 1 GB address-space limit and a 20 s timeout, so that
+    # a search without the twin rule fails here instead of filling memory.
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pebblab import OrientedGraph, canonical_form
+leaves = [f"l{i}" for i in range(12)]
+star = OrientedGraph(["c", *leaves], [("c", v) for v in leaves])
+print(canonical_form(star).hex(), canonical_form(OrientedGraph(leaves)).hex())
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(theorems.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
+    assert out.returncode == 0, out.stderr[-2000:]
+    # Leaves first, each row ending in the centre's backward edge to it.
+    star = bytes([0, 13]) + bytes(code for i in range(12) for code in [0] * (11 - i) + [2])
+    empty = bytes([0, 12]) + bytes(66)
+    assert out.stdout.split() == [star.hex(), empty.hex()]
 
 
 def test_induced_embedding_examples():

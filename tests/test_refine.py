@@ -155,8 +155,14 @@ def test_refine_reads_sets_and_tuples_of_every_length_alike():
 
 
 def test_variable_order_returns_the_reference_order():
+    # The heap pops the reference's order on connected graphs, on graphs of
+    # several components (isolated vertices, two disjoint paths, sparse
+    # draws) and on the empty graph.
     rng = random.Random(25)
-    for g, h in _pairs():
+    two_paths = OrientedGraph(["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d"), ("d", "e")])
+    apart = [(g, g) for g in (OrientedGraph([]), OrientedGraph(["a", "b", "c"]), two_paths)]
+    apart += [(g, g) for g in (random_oriented_graph(rng, rng.randint(2, 40), 0.05) for _ in range(40))]
+    for g, h in _pairs() + apart:
         n = len(g.vertices)
         g_out, g_in = _directed_adj(g)
         gcols, _ = _joint_colors(g_out, g_in, *_directed_adj(h))

@@ -249,6 +249,32 @@ def test_thm_2_1_budget_matches_build_exactly():
             assert (report.verdict, report.stats) == (BUDGET_EXCEEDED, {"state_budget": n - 1})
 
 
+def test_thm_2_1_every_budget_runs_out_exactly_below_the_state_count():
+    # The pass tests its budget once per stretch of states, each short
+    # enough to end within one state's moves of the budget.  On the dense
+    # 8-vertex draw (26 edges, so up to 26 moves a state) the stretches
+    # shrink to one state near the budget.  Every budget below the state
+    # count runs out, and every other gives the full report.
+    rng = random.Random(32)
+    dense = random_oriented_graph(rng, 8, 0.9)
+    instances = [(dense, random_assignment(rng, dense, 3))]
+    while len(instances) < 6:
+        g = random_oriented_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.7))
+        a = random_assignment(rng, g, 5)
+        if check_thm_2_1(g, a, 600).stats.get("states", 0) >= 20:
+            instances.append((g, a))
+    assert (len(dense.edges), check_thm_2_1(*instances[0]).stats["states"]) == (26, 532)
+    for g, a in instances:
+        full = assert_thm_2_1_matches_reference(g, a)
+        states = full.stats["states"]
+        for budget in range(1, states + 2):
+            report = check_thm_2_1(g, a, budget)
+            if budget < states:
+                assert (report.verdict, report.stats) == (BUDGET_EXCEEDED, {"state_budget": budget})
+            else:
+                assert (report.verdict, report.stats, report.witness) == (full.verdict, full.stats, full.witness)
+
+
 def test_thm_2_1_argument_errors_match_build():
     c4 = downward_cycle(4)
     other = Assignment(downward_cycle(6), {"top": 2})
