@@ -31,6 +31,9 @@ traversability.
   state graph of a + c has a's states shifted by c and the same edge rows
   (`offsets`, `targets`, `labels`): the same isomorphism verdict, witness
   and full traversability.
+
+So `_hits` yields a hit group once, as its built base (the least member)
+and the vertices it sets to 0 or 1; only `scan_graph_assignments` lists it.
 """
 
 from __future__ import annotations
@@ -257,25 +260,22 @@ def _candidates(
 
 def _hits(
     g: OrientedGraph, cap: int, limit: float = float("inf")
-) -> Iterator[tuple[int, tuple[int, ...], AssignmentGraph, IsoMapping]]:
-    """(index, count vector, state graph, witness) per capped vector below
-    ``limit`` that passes `_candidates`' tests and is isomorphic to its state
-    graph, in no set order.
+) -> Iterator[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...], AssignmentGraph, IsoMapping]]:
+    """(index, count vector, undecided, state graph, witness) per hit group
+    below ``limit``, in no set order: a built base, which is its group's
+    least member, that is isomorphic to its state graph.
 
     Each `_candidates` vector is the base of a group: itself with 0 or 1 on
-    each undecided vertex.  A base is built with a budget of |V(g)| states.
-    If no move of its state graph feeds an undecided vertex, every vector
-    of the group has the same rows (Fact B), so a hit stands for the whole
-    group and each of its vectors is reported with the base's state graph
-    and witness.  Otherwise the fed vertices f_1..f_m split the group: 0 on
-    all of them stays with this build, and for each j, 1 on f_j and 0 on
-    f_1..f_(j-1) is a new base with f_(j+1)..f_m and the unfed vertices
-    undecided.  A base whose build passes the budget rules out its group,
-    and so does every later base that dominates it (Fact A).
-
-    A completion's hit carries its base's state graph, whose states are
-    not the completion's; the callers read only its full traversability
-    and the witness, which Fact B makes the completion's own."""
+    each undecided (vertex, index weight) pair.  A base is built with a
+    budget of |V(g)| states.  If no move of its state graph feeds an
+    undecided vertex, every vector of the group has the same rows (Fact B),
+    the same verdict, witness and full traversability, so one hit stands
+    for the whole group.  Otherwise the fed vertices f_1..f_m split the
+    group: 0 on all of them stays with this build, and for each j, 1 on f_j
+    and 0 on f_1..f_(j-1) is a new base with f_(j+1)..f_m and the unfed
+    vertices undecided.  A base whose build passes the budget rules out its
+    group, and so does every later base that dominates it (Fact A).  A
+    group's completions may pass ``limit``; the caller expands them."""
     n = len(g.vertices)
     heads = [g.index(w) for _, w in g.edges]
     over: list[tuple[int, ...]] = []
@@ -300,11 +300,7 @@ def _hits(
                             stack.append((idx + w, _set_one(counts, v), undecided + tuple(split[j + 1 :])))
             iso = built_isomorphism(g, ag)
             if iso is not None:
-                group = [(idx, counts)]
-                for v, w in undecided:
-                    group += [(i + w, _set_one(c, v)) for i, c in group if i + w < limit]
-                for i, c in group:
-                    yield i, c, ag, iso
+                yield idx, counts, undecided, ag, iso
 
 
 def _set_one(counts: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -320,14 +316,21 @@ def _box_size(g: OrientedGraph, pebble_cap: int) -> int:
 def scan_graph_assignments(graphs: list[OrientedGraph], pebble_cap: int) -> tuple[list[Hit], int]:
     """One scan over the joint assignment space of ``graphs``: the hits in
     (graph position, index) order and the number of box indices covered.
-    Only the graphs with a graded root, which alone can hit, are scanned."""
+    Only the graphs with a graded root, which alone can hit, are scanned,
+    and each hit group is listed with its base's full traversability."""
     _check_cap(pebble_cap)
+    hits = []
+    for pos, g in enumerate(graphs):
+        if g.graded_root() is None:
+            continue
+        for idx, counts, undecided, ag, _ in _hits(g, pebble_cap):
+            group = [(idx, counts)]
+            for v, w in undecided:
+                group += [(i + w, _set_one(c, v)) for i, c in group]
+            ft = ag.is_fully_traversable()
+            hits += [(pos, i, c, ft) for i, c in group]
     # (graph position, index) is unique, so the sort never compares further.
-    hits = sorted(
-        (pos, idx, counts, ag.is_fully_traversable())
-        for pos, g in enumerate(graphs) if g.graded_root() is not None
-        for idx, counts, ag, _ in _hits(g, pebble_cap)
-    )
+    hits.sort()
     return hits, sum(_box_size(g, pebble_cap) for g in graphs)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 import random
 from collections import Counter
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, islice, product
 
@@ -517,14 +517,12 @@ def verify_thm_5_1_batch(
         leaves = {v: rng.randint(0, leaf_cap) for v in tree.sinks()}
         report = verify_thm_5_1(tree, root_pebbles, leaves, state_budget)
         states_total += report.stats.get("states", 0)
+        if report.verdict == HOLDS:
+            report = verify_prop_1_1(tree, tree_assignment(tree, root_pebbles, leaves), state_budget)
         if report.verdict != HOLDS:
             report.stats["batch_index"] = i
+            report.claim = "thm-5.1"
             return report
-        traversal = verify_prop_1_1(tree, tree_assignment(tree, root_pebbles, leaves), state_budget)
-        if traversal.verdict != HOLDS:
-            traversal.stats["batch_index"] = i
-            traversal.claim = "thm-5.1"
-            return traversal
     return VerificationReport(
         "thm-5.1",
         f"{trees} random downward trees on up to {max_vertices} vertices (seed {seed})",
@@ -573,18 +571,23 @@ def verify_sec_6(vertex_cap: int, pebble_cap: int) -> tuple[VerificationReport, 
 # -- section 7: products of paths ---------------------------------------------
 
 
-def _aggregate(claim: str, instance: str, reports: list[VerificationReport], params: dict) -> VerificationReport:
-    tally = Counter(r.verdict for r in reports)
+def _aggregate(claim: str, instance: str, reports: Iterable[VerificationReport], params: dict) -> VerificationReport:
+    """Tally ``reports`` in one pass, keeping the first counterexample."""
+    tally: Counter[str] = Counter()
+    first = None
+    for r in reports:
+        tally[r.verdict] += 1
+        if first is None and r.verdict == COUNTEREXAMPLE:
+            first = r
     stats = {
-        "instances": len(reports),
+        "instances": sum(tally.values()),
         "holds": tally[HOLDS],
         "hypothesis_not_met": tally[HYPOTHESIS_NOT_MET],
         "counterexamples": tally[COUNTEREXAMPLE],
         "budget_exceeded": tally[BUDGET_EXCEEDED],
     }
     report = VerificationReport(claim, instance, HOLDS, stats=stats, params=params)
-    if tally[COUNTEREXAMPLE]:
-        first = next(r for r in reports if r.verdict == COUNTEREXAMPLE)
+    if first is not None:
         report.verdict = COUNTEREXAMPLE
         report.witness = first.witness
         report.instance_text = first.instance_text
@@ -644,16 +647,14 @@ def verify_thm_7_1_sweep(max_factors: int = 3, max_length: int = 4) -> Verificat
     if max_length < 2:
         raise GraphError(f"max length must be at least 2, got {max_length}")
     options = [(n, sp) for n in range(2, max_length + 1) for sp in (2, 3)]
-    reports = []
-    for r in range(1, max_factors + 1):
-        for combo in combinations_with_replacement(options, r):
-            lengths = [n for n, _ in combo]
-            pebbles = [sp for _, sp in combo]
-            reports.append(verify_thm_7_1(lengths, pebbles))
     return _aggregate(
         "thm-7.1",
         f"all products of up to {max_factors} paths with lengths up to {max_length}, both source counts",
-        reports,
+        (
+            verify_thm_7_1([n for n, _ in combo], [sp for _, sp in combo])
+            for r in range(1, max_factors + 1)
+            for combo in combinations_with_replacement(options, r)
+        ),
         {"sweep": True, "max_factors": max_factors, "max_length": max_length},
     )
 
@@ -685,17 +686,14 @@ def verify_lemma_7_1(
 def verify_lemma_7_1_sweep(max_k: int = 8) -> VerificationReport:
     if max_k < 2:
         raise GraphError(f"max k must be at least 2, got {max_k}")
-    reports = []
-    for k in range(2, max_k + 1):
-        n = k // 2 + 1
-        free = max(n - 2, 0)
-        for bits in product((0, 1), repeat=free):
-            fill = {f"a{i + 1}": b for i, b in enumerate(bits)}
-            reports.append(verify_lemma_7_1(n, k, fill=fill))
     return _aggregate(
         "lem-7.1",
         f"k from 2 to {max_k} with the matching path length, all fill choices",
-        reports,
+        (
+            verify_lemma_7_1(k // 2 + 1, k, fill={f"a{i + 1}": b for i, b in enumerate(bits)})
+            for k in range(2, max_k + 1)
+            for bits in product((0, 1), repeat=k // 2 - 1)
+        ),
         {"sweep": True, "max_k": max_k},
     )
 
@@ -741,23 +739,19 @@ def verify_lemma_7_2(
 def verify_lemma_7_2_sweep(max_n: int = 6) -> VerificationReport:
     if max_n < 3:
         raise GraphError(f"max n must be at least 3, got {max_n}")
-    reports = []
-    for n in range(3, max_n + 1):
-        order = [f"a{i}" for i in range(1, n + 1)]
-        for position in range(1, n - 1):
-            for heavy in (4, 5):
-                free = [
-                    v
-                    for i, v in enumerate(order[:-1], start=1)
-                    if i not in (position, position + 1)
-                ]
-                for bits in product((0, 1), repeat=len(free)):
-                    fill = dict(zip(free, bits))
-                    reports.append(verify_lemma_7_2(n, position, heavy, fill=fill))
+
+    def reports():
+        for n in range(3, max_n + 1):
+            for position in range(1, n - 1):
+                free = [f"a{i}" for i in range(1, n) if i not in (position, position + 1)]
+                for heavy in (4, 5):
+                    for bits in product((0, 1), repeat=len(free)):
+                        yield verify_lemma_7_2(n, position, heavy, fill=dict(zip(free, bits)))
+
     return _aggregate(
         "lem-7.2",
         f"paths up to {max_n} vertices, every heavy placement and fill choice",
-        reports,
+        reports(),
         {"sweep": True, "max_n": max_n},
     )
 
@@ -796,7 +790,7 @@ def verify_thm_7_2(
     subgraph search's candidates and the assignment indices covered.  Of
     those, only the `classify._candidates` groups are built, since the
     construction is graded and every other assignment fails the pair test's
-    exits, and the hit with the least index is reported.
+    exits, and the least-index hit, a hit group's least base, is reported.
 
     The assignment search is best effort: exhausting the cap without a
     finding is reported as budget-exceeded, not as a refutation.
@@ -826,7 +820,7 @@ def verify_thm_7_2(
         return report(COUNTEREXAMPLE, stats=stats, notes=notes)
     found = min(_hits(g, search_cap, search_budget), key=lambda hit: hit[0], default=None)
     if found:
-        idx, counts, _, iso = found
+        idx, counts, _, _, iso = found
         candidate = Assignment(g, counts)
         stats["assignments_scanned"] = idx + 1
         witness = {

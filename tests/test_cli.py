@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from pebblab import HOLDS, oriented_path, verify_thm_5_1
+from pebblab import COUNTEREXAMPLE, DEFAULT_STATE_BUDGET, HOLDS, oriented_path, parse_graph_text, theorems, verify_thm_5_1
+from pebblab.classify import state_graph_isomorphism
 from pebblab.cli import main
+from pebblab.theorems import replay, verify_thm_5_1_batch
 
 FOUR_CYCLE_ROOT4 = """\
 v top 4
@@ -578,3 +586,121 @@ def test_readme_claim_table_follows_the_registry():
     section = readme.split("### Claim ids", 1)[1].split("\n#", 1)[0]
     ids = tuple(line.split("`")[1] for line in section.splitlines() if line.startswith("| `"))
     assert ids == CLAIM_IDS
+
+
+# Commands whose stdout digests `.github/workflows/ci.yml` pins, run in
+# process: the sweeps, thm-7.2's least-index hits (K(3,2) at the default
+# budget exits 3), a tree batch, the cycle scans, the searches and the
+# witnesses.  Each key names the command and its expected exit code.
+CI_DIGESTS = [
+    (["verify", "thm-7.1", "--sweep"], 0, "c24c8d63d7ee5ef084e7be5b51ceb2f754cf0cb9597109c43ce45e4d8d92d853"),
+    (["verify", "lem-7.1", "--sweep"], 0, "5902ce115dfaa4ce2d137dd44a10d2b78c3d85e0298bbf746151a62792d6191d"),
+    (["verify", "lem-7.2", "--sweep"], 0, "4eea2939cc60e2aec9cb2a40cac5ba6c162943bfd40c0e1ed6da870d40bd0d66"),
+    (["verify", "thm-7.2", "--n", "2", "--m", "2"], 0, "dd00c3e25dc4e862260d71c23b701c8d369a6dc2d15be9ee7a657570ffba9241"),
+    (["verify", "thm-7.2", "--n", "2", "--m", "3"], 0, "5e1a52037037cbb797a2262c5c9e490e1f6cea3812e3fee5c1418a0e6bf06a00"),
+    (["verify", "thm-7.2", "--n", "3", "--m", "1"], 0, "ff47df189ad759809ce58ce42e36a1661b1ba42a3970bdb38d1bce15235987b8"),
+    (["verify", "thm-7.2", "--n", "3", "--m", "2"], 3, "1940499dd086d76fd7d5a5039aae85ded4ab51348509aef55668b19b835b0a51"),
+    (
+        ["verify", "thm-5.1", "--random-trees", "300", "--max-vertices", "16", "--seed", "5"],
+        0,
+        "66ad8eeb65941e4537b22229a3476cbdc10096206670bcfc5b4a32ca1633302f",
+    ),
+    (["verify", "thm-3.1", "--k", "8", "--cap", "2"], 0, "1ca17e2696f32b2edfc25bb3371f6e83de6aefab44fa582ec57a74c8b1a6e60a"),
+    (["verify", "thm-3.1", "--k", "20", "--cap", "6"], 0, "5e2364ab09361f05f15398788b37f685a63bb93505e0d40659a4f99e2c60cd6e"),
+    (["search", "--max-vertices", "4", "--pebble-cap", "3"], 0, "b5f8db4dc33d0a4092ec9ba1e0cba07193ed8e366d5e71cbab5f6cfa53d941ea"),
+    (
+        ["search", "--max-vertices", "4", "--pebble-cap", "3", "--fully-traversable", "no"],
+        0,
+        "0e2e6071e94acba058e91ef204660ef21f15179bc7e30d53183d448b915c50c4",
+    ),
+    (["search", "--max-vertices", "5", "--pebble-cap", "2"], 0, "65030a47b1593c9e6b6c765352906004a946eeb84e500e6e45b857bd6ced7aad"),
+    (
+        ["verify", "thm-7.1", "--lengths", "3,3", "--path-pebbles", "2,3"],
+        0,
+        "c24b388f5f799af380f0a25504d79aa60b232249b1d83befcacf0224453931b0",
+    ),
+    (
+        ["verify", "cor-7.1", "--factor", "simple:n=3,src=2", "--factor", "nearsink:n=3,k=4"],
+        0,
+        "0b8d99d7df2dcca69c02c9525e1b9ab5147d0451fad057ad46aa15842149fd5c",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CI_DIGESTS, ids=[" ".join(argv) for argv, _, _ in CI_DIGESTS])
+def test_ci_digests_in_process(capsys, argv, code, digest):
+    assert main([*argv, "--format", "json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _verify_in_child(argv: list[str], limit: int, timeout: float) -> subprocess.CompletedProcess:
+    """``pebblab verify`` in a child process under an address-space limit
+    of ``limit`` bytes."""
+    code = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from pebblab.cli import main
+sys.exit(main({["verify", *argv]!r}))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(theorems.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=timeout, env=env)
+
+
+def test_thm_7_2_memory_follows_its_builds_not_its_budget():
+    # K(3,3)'s construction has 38 states.  Below an index budget of 10**14
+    # its hit groups hold up to 2**25 vectors each; the least-index hit is
+    # the least group base, so no group is listed.  A child process under a
+    # 300 MB address-space limit and a 30 s timeout, so that listing the
+    # groups fails here instead of filling memory.
+    big = ["thm-7.2", "--n", "3", "--m", "3", "--search-budget", "100000000000000", "--format", "json"]
+    out = _verify_in_child([*big, "--search-cap", "3"], 300 << 20, 30)
+    assert out.returncode == 0, out.stderr[-2000:]
+    digest = "a2623d1ba7bdae59558ffbd737d480b9f55f09a3a3a97f8511519dcb9d01a418"
+    assert hashlib.sha256(out.stdout).hexdigest() == digest
+    assert json.loads(out.stdout)["stats"]["assignments_scanned"] == 35184508403713
+
+    out = _verify_in_child([*big, "--search-cap", "2"], 300 << 20, 30)
+    assert out.returncode == 0, out.stderr[-2000:]
+    report = json.loads(out.stdout)
+    assert report["verdict"] == HOLDS
+    assert report["stats"]["assignments_scanned"] == 62765425963
+    g, a = parse_graph_text(report["instance_text"])
+    assert len(g.vertices) == 38 and max(a.counts) <= 2
+    assert state_graph_isomorphism(g, a) is not None
+
+
+def test_tree_batch_reports_its_first_failing_instance_whole(monkeypatch):
+    # prop-1.1 fails on the third tree: the batch stops there and hands over
+    # prop-1.1's report under thm-5.1, with the tree's position in the batch.
+    real, seen = theorems.verify_prop_1_1, []
+
+    def fail_third(g, a, state_budget):
+        seen.append(real(g, a, state_budget))
+        if len(seen) < 3:
+            return seen[-1]
+        return replace(seen[-1], verdict=COUNTEREXAMPLE, stats=dict(seen[-1].stats))
+
+    monkeypatch.setattr(theorems, "verify_prop_1_1", fail_third)
+    report = verify_thm_5_1_batch(5, 8, seed=2)
+    assert len(seen) == 3
+    assert report.claim == "thm-5.1" and report.verdict == COUNTEREXAMPLE
+    assert set(seen[2].stats) == {"states", "fully_traversable", "isomorphic"}
+    assert report.stats == {**seen[2].stats, "batch_index": 2}
+    assert report.instance_text == seen[2].instance_text
+    monkeypatch.setattr(theorems, "verify_prop_1_1", real)
+    # The replay runs thm-5.1's instance form on that tree, which holds.
+    replayed = replay(report)
+    assert replayed.verdict == HOLDS
+    assert replayed.to_json_obj() == theorems._thm_5_1_on_instance(report.instance_text, DEFAULT_STATE_BUDGET).to_json_obj()
+
+
+def test_tree_batch_out_of_budget_names_the_budget_and_the_tree(capsys):
+    assert main(["verify", "thm-5.1", "--random-trees", "3", "--budget", "1", "--format", "json"]) == 3
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["claim"] == "thm-5.1" and printed["verdict"] == "budget-exceeded"
+    assert printed["stats"] == {"batch_index": 0, "state_budget": 1}
+    # The CLI's defaults: 12 vertices at most, seed 0.
+    report = verify_thm_5_1_batch(3, 12, 0, state_budget=1)
+    assert report.to_json_obj() == printed
+    replayed = replay(report, state_budget=1)
+    assert replayed.to_json_obj() == {**printed, "stats": {"state_budget": 1}}
