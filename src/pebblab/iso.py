@@ -17,6 +17,13 @@ and count every candidate tried against an expansion budget, raising
 SearchBudgetExceededError when it runs out, so a missing result is never
 mistaken for a proved absence.
 
+One call skips the core: the first isomorphism between two out-trees
+(``digraph_isomorphic``, ``isomorphism_onto_rows``).  Over tree classes the
+search never backtracks, and its first witness pairs the roots and then,
+top-down, each vertex's children with its image's children by subtree code
+and index, so ``_tree_witness`` builds exactly that map in one pass.
+Automorphism lists and every graph that is not an out-tree still search.
+
 Witnesses come in four modes: ``"directed"`` and ``"undirected"``
 isomorphisms, ``"induced-embedding"`` (g's shadow onto an induced subgraph of
 h's shadow) and ``"subgraph"`` (every oriented edge of g onto an oriented edge
@@ -188,11 +195,7 @@ def _tree_classes(g_out, g_in, h_out, h_in) -> tuple[list[int], list[int]] | Non
     classes: dict[tuple[int, int], int] = {}
     found = []
     for out_adj, order in ((g_out, g_order), (h_out, h_order)):
-        code = [0] * len(order)
-        child_code = code.__getitem__
-        for v in reversed(order):
-            if out_adj[v]:
-                code[v] = codes.setdefault(tuple(sorted(map(child_code, out_adj[v]))), len(codes))
+        code = _subtree_codes(out_adj, order, codes)
         cls = [0] * len(order)
         cls[order[0]] = classes.setdefault((-1, code[order[0]]), len(classes))
         for v in order:
@@ -201,6 +204,68 @@ def _tree_classes(g_out, g_in, h_out, h_in) -> tuple[list[int], list[int]] | Non
                 cls[w] = classes.setdefault((c, code[w]), len(classes))
         found.append(cls)
     return found[0], found[1]
+
+
+def _subtree_codes(out_adj, order, codes: dict[tuple[int, ...], int]) -> list[int]:
+    """Per vertex of an out-tree in breadth-first ``order``, the rank in
+    ``codes`` of the sorted codes of its children, a leaf's being 0; ranks
+    are added to ``codes`` as they are first seen, so trees coded with one
+    dictionary get equal codes exactly for isomorphic subtrees (Aho,
+    Hopcroft and Ullman's tree isomorphism test)."""
+    code = [0] * len(order)
+    child_code = code.__getitem__
+    for v in reversed(order):
+        if out_adj[v]:
+            code[v] = codes.setdefault(tuple(sorted(map(child_code, out_adj[v]))), len(codes))
+    return code
+
+
+def _tree_witness(g_out, g_in, h_out, h_in) -> list[list[int]] | None:
+    """The first isomorphism the search over ``_tree_classes`` finds between
+    two out-trees, built without a search, in ``_isomorphisms``' form; or
+    ``None`` unless both graphs are out-trees.  Equal root codes decide
+    whether one exists.
+
+    The map pairs the roots, then, top-down, the children of each vertex
+    with those of its image, the k-th by index among those of one code
+    onto the k-th by index of that code.  That is the search's first
+    witness.  The search first places s, the lowest-index vertex of the
+    smallest class, a singleton as the root's class is.  A class (parent's
+    class, code) holds at least as many vertices as its parent's class, so
+    every vertex on s's root path is alone in its class too, and maps onto
+    the one h vertex there, as it does here.  Each vertex placed after s has
+    exactly one placed neighbor, and the search never backtracks: the parent
+    of a placed vertex maps to its image's parent, and the children of one
+    class under a placed vertex, placed in index order, take the unused
+    children of its image in that class in index order.  Children of one
+    vertex share their parent's class, so they share a class exactly when
+    they share a code; on s's root path the child placed first is alone in
+    its code, so it shifts no other child's place.
+    """
+    g_order = _tree_order(g_out, g_in)
+    h_order = _tree_order(h_out, h_in) if g_order is not None else None
+    if g_order is None or h_order is None:
+        return None
+    codes: dict[tuple[int, ...], int] = {(): 0}
+    g_code = _subtree_codes(g_out, g_order, codes)
+    h_code = _subtree_codes(h_out, h_order, codes)
+    if g_code[g_order[0]] != h_code[h_order[0]]:
+        return []
+    n = len(g_order)
+    image = [-1] * n
+    image[g_order[0]] = h_order[0]
+    for v in g_order:
+        kids = g_out[v]
+        if len(kids) == 1:
+            (w,) = kids
+            (image[w],) = h_out[image[v]]
+        elif kids:
+            # Sort both sides by the packed key code * n + index.
+            g_keys = sorted([g_code[w] * n + w for w in kids])
+            h_keys = sorted([h_code[y] * n + y for y in h_out[image[v]]])
+            for a, b in zip(g_keys, h_keys):
+                image[a % n] = b % n
+    return [image]
 
 
 # -- the backtracking core ----------------------------------------------------
@@ -308,7 +373,12 @@ def _backtrack(
 
 def _isomorphisms(g_out, g_in, h_out, h_in, want_all: bool) -> list[list[int]]:
     """Isomorphisms with every vertex confined to its joint color class:
-    subtree-code classes for two out-trees, refined colors otherwise."""
+    subtree-code classes for two out-trees, refined colors otherwise.  The
+    first witness between two out-trees is matched without a search."""
+    if not want_all:
+        found = _tree_witness(g_out, g_in, h_out, h_in)
+        if found is not None:
+            return found
     gcols, hcols = _tree_classes(g_out, g_in, h_out, h_in) or _joint_colors(g_out, g_in, h_out, h_in)
     if sorted(gcols) != sorted(hcols):
         return []

@@ -2,15 +2,18 @@
 their earlier versions in ``oracles``: equal lists, not just equal
 partitions, and equal results from every entry point that uses them.  The
 out-tree classes from subtree codes against the refinement they bypass:
-equal partitions, and equal results from every entry point."""
+equal partitions, and equal results from every entry point.  The out-tree
+matcher against the search it skips: equal image lists and witnesses."""
 
 from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from functools import cache
 
 from pebblab import (
+    HOLDS,
     OrientedGraph,
     SearchBudgetExceededError,
     automorphisms,
@@ -20,17 +23,21 @@ from pebblab import (
     enumerate_downward_trees,
     find_induced_undirected_embedding,
     iso,
+    oriented_path,
     random_downward_tree,
     random_oriented_graph,
     tree_assignment,
     undirected_isomorphic,
+    verify_thm_5_1,
 )
 from pebblab.iso import (
     _directed_adj,
+    _isomorphisms,
     _joint_colors,
     _refine,
     _shadow_adj,
     _tree_classes,
+    _tree_witness,
     _variable_order,
     isomorphism_onto_rows,
 )
@@ -268,19 +275,29 @@ def _tree_entry_point_results():
 
 
 def test_tree_entry_points_match_the_refinement_path(monkeypatch):
-    taken = []
-    real = iso._tree_classes
+    taken, matched = [], []
+    real, real_witness = iso._tree_classes, iso._tree_witness
 
     def counted(*adj):
         found = real(*adj)
         taken.append(found is not None)
         return found
 
+    def counted_witness(*adj):
+        found = real_witness(*adj)
+        matched.append(found is not None)
+        return found
+
     monkeypatch.setattr(iso, "_tree_classes", counted)
+    monkeypatch.setattr(iso, "_tree_witness", counted_witness)
     current = _tree_entry_point_results()
-    assert all(taken)
+    assert taken and all(taken)
+    # isomorphism_onto_rows matches every pair, digraph_isomorphic those of
+    # equal size.
+    assert len(matched) > len(current) and all(matched)
     assert sum(result[0] is not None for result in current) > len(current) // 4
     monkeypatch.setattr(iso, "_tree_classes", lambda *adj: None)
+    monkeypatch.setattr(iso, "_tree_witness", lambda *adj: None)
     assert _tree_entry_point_results() == current
 
 
@@ -319,3 +336,95 @@ def test_tree_classes_of_a_single_vertex():
     assert [w.pairs for w in automorphisms(g)] == [(("v", "v"),)]
     assert digraph_isomorphic(g, OrientedGraph(["w"], [])).pairs == (("v", "w"),)
     assert isomorphism_onto_rows(g, *_rows(g)).pairs == (("v", "0"),)
+
+
+# -- the out-tree matcher against the search it skips ------------------------
+
+
+def _matched_as_searched(monkeypatch, g, h):
+    """The matcher's image lists for g onto h, checked equal to the search's
+    (the matcher switched off), as ``isomorphism_onto_rows``' witnesses are."""
+    adj = (*_directed_adj(g), *_directed_adj(h))
+    matched = _isomorphisms(*adj, want_all=False)
+    assert _tree_witness(*adj) == matched
+    rows = isomorphism_onto_rows(g, *_rows(h))
+    with monkeypatch.context() as m:
+        m.setattr(iso, "_tree_witness", lambda *adj: None)
+        assert _isomorphisms(*adj, want_all=False) == matched
+        assert isomorphism_onto_rows(g, *_rows(h)) == rows
+    return matched
+
+
+def _starts_below_the_root(g, h):
+    """Whether the search's first vertex, the lowest-index one of g's
+    smallest joint class, is not g's root."""
+    gcols, _ = _tree_classes(*_directed_adj(g), *_directed_adj(h))
+    sizes = Counter(gcols)
+    first = min(range(len(gcols)), key=lambda v: (sizes[gcols[v]], v))
+    return g.vertices[first] not in g.sources()
+
+
+def _shuffled(rng, g):
+    """g with its vertex list shuffled, so its root may lie anywhere."""
+    return OrientedGraph(rng.sample(list(g.vertices), len(g.vertices)), g.edges)
+
+
+def test_tree_matcher_returns_the_searched_witness_on_tree_pairs(monkeypatch):
+    # Each enumerated tree against its relabelled copy, each tree against
+    # its state graph, and some of the other enumerated pairs are isomorphic.
+    found = 0
+    for g, h in [*_enumerated_tree_pairs(), *_tree_pairs(29, 60, max_vertices=24)]:
+        found += bool(_matched_as_searched(monkeypatch, g, h))
+    assert found > 260
+
+
+def test_tree_matcher_returns_the_searched_witness_from_below_the_root(monkeypatch):
+    """Random out-trees up to 60 vertices against relabelled copies, both
+    with shuffled vertex lists, and against themselves."""
+    rng = random.Random(30)
+    below = 0
+    for _ in range(300):
+        tree = random_downward_tree(rng, rng.randint(1, 60))
+        g, h = _shuffled(rng, tree), _shuffled(rng, _relabelled(rng, tree))
+        for pair in ((g, h), (g, g)):
+            assert _matched_as_searched(monkeypatch, *pair)
+            below += _starts_below_the_root(*pair)
+    assert below > 100
+
+
+def test_tree_matcher_keeps_non_isomorphic_trees_with_equal_degrees_apart(monkeypatch):
+    rng = random.Random(31)
+    by_degrees: dict[tuple, list[OrientedGraph]] = {}
+    for tree in enumerate_downward_trees(8, min_vertices=6):
+        out = _directed_adj(tree)[0]
+        by_degrees.setdefault(tuple(sorted(map(len, out))), []).append(tree)
+    pairs = [(g, h) for trees in by_degrees.values() for g in trees for h in trees if g is not h]
+    assert len(pairs) > 500
+    for g, h in rng.sample(pairs, 500):
+        g, h = _shuffled(rng, g), _shuffled(rng, h)
+        assert _matched_as_searched(monkeypatch, g, h) == []
+        assert digraph_isomorphic(g, h) is None
+
+
+def test_tree_matcher_on_a_single_vertex(monkeypatch):
+    g = OrientedGraph(["v"], [])
+    assert _matched_as_searched(monkeypatch, g, OrientedGraph(["w"], [])) == [[0]]
+
+
+def _root_last_path(n):
+    path = oriented_path(n)
+    return OrientedGraph(list(reversed(path.vertices)), path.edges)
+
+
+def test_tree_matcher_climbs_a_deep_path_listed_root_last(monkeypatch):
+    """A downward path listed leaf first: the match starts at the leaf, the
+    only vertex of index 0, and climbs to the root without recursing."""
+    deep = _root_last_path(3000)
+    assert _starts_below_the_root(deep, deep)
+    rng = random.Random(32)
+    assert digraph_isomorphic(deep, _shuffled(rng, _relabelled(rng, deep))) is not None
+    assert verify_thm_5_1(deep, 2).verdict == HOLDS
+    short = _root_last_path(300)
+    assert _matched_as_searched(monkeypatch, short, _shuffled(rng, _relabelled(rng, short)))
+    state_graph = build(short, tree_assignment(short, 2)).as_oriented_graph()
+    assert _matched_as_searched(monkeypatch, short, state_graph)
